@@ -19,6 +19,7 @@ from .errors import (
     EmptyInput,
     ShapeError,
     TrialArityError,
+    UnsupportedGeometry,
 )
 
 SnapshotBlock = np.ndarray
@@ -130,8 +131,10 @@ def steering_matrix(cfg: ArrayConfig, sources: SourceSet) -> SteeringMatrix:
     has unit modulus and the first row is all ones.
     """
     mu = np.asarray(phase_from_angle(np.array(sources.angles_deg), cfg.spacing_ratio))
-    # spacing_ratio <= 0.5 keeps |mu| < pi for angles inside (-90, 90)
-    assert np.all(np.abs(mu) < np.pi)
+    # |mu| < pi inside (-90, 90) for spacing_ratio <= 0.5, unless sin rounds to 1
+    if not np.all(np.abs(mu) < np.pi):
+        raise UnsupportedGeometry(
+            f"inter-element phase {np.max(np.abs(mu)):.17g} rad not below pi")
     m_idx = np.arange(cfg.num_antennas)
     entries = np.exp(1j * np.outer(m_idx, mu))
     return SteeringMatrix(entries=entries, phases=mu)

@@ -9,9 +9,9 @@ from dataclasses import replace
 from .errors import ConfigError
 from .harness import (
     CRLB_SCENARIOS,
-    CSV_HEADER,
     PRESET_NAMES,
     config_from_mapping,
+    csv_text,
     emit_csv,
     load_config_file,
     parse_config_value,
@@ -49,15 +49,7 @@ def _emit(records, out_path) -> None:
         emit_csv(records, out_path)
         print(f"wrote {len(records)} records to {out_path}")
     else:
-        from .harness import _fixed9
-
-        print(CSV_HEADER)
-        for rec in records:
-            print(",".join([
-                _fixed9(rec.sweep_value), rec.scenario, _fixed9(rec.rmse_deg),
-                _fixed9(rec.root_crlb_deg), str(rec.trials),
-                str(rec.failures), str(rec.wall_ms),
-            ]))
+        sys.stdout.write(csv_text(records))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ class TrialArityError(ValueError):
 
 
 class UnsupportedGeometry(ValueError):
-    """The requested operation is only defined for half-wavelength spacing."""
+    """The geometry is outside what the operation supports (spacing, |mu| < pi)."""
 
 
 class PencilParamError(ValueError):

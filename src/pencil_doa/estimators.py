@@ -45,10 +45,10 @@ from .pencil import (
 
 def _pencil_pipeline(snapshots, cfg: PencilConfig, spacing_ratio: float,
                      dilation: int = 1) -> np.ndarray:
-    """augment -> denoise -> split -> eigenvalues -> angles, sorted ascending."""
+    """augment -> subspace -> split -> eigenvalues -> angles, sorted ascending."""
     stack = augment(snapshots, cfg.xi)
-    denoised, _ = svd_denoise(stack, cfg.num_sources)
-    pair = split_pencil(denoised, cfg.xi, stack.num_blocks)
+    _, coords, _ = svd_denoise(stack, cfg.num_sources)
+    pair = split_pencil(coords, cfg.xi, stack.num_blocks)
     eig = pencil_eigenvalues(pair, cfg.num_sources)
     return eigen_to_angles(eig, spacing_ratio, dilation=dilation)
 
@@ -62,8 +62,7 @@ def estimate_fd_mpm(x: SnapshotBlock, cfg: PencilConfig,
     if x.shape[0] != cfg.channel_count or x.shape[0] != array.num_antennas:
         raise ShapeError(
             f"block with {x.shape[0]} channels does not match configuration")
-    return _pencil_pipeline([x[:, k] for k in range(x.shape[1])], cfg,
-                            array.spacing_ratio)
+    return _pencil_pipeline(x.T, cfg, array.spacing_ratio)
 
 
 @dataclass(frozen=True)
@@ -185,6 +184,11 @@ class DisambiguationPlan:
         return len(self.combiners)
 
 
+def disambiguation_combiners(had: HadConfig, num_sources: int) -> int:
+    """Combiners the SNR scan needs: m_rf candidates per source, L per combiner."""
+    return math.ceil(had.m_rf * num_sources / had.rf_chains)
+
+
 def build_disambiguation(amb: AmbiguitySet, cfg: HadConfig,
                          snapshots: int) -> DisambiguationPlan:
     """One combiner per L candidates, each block steered to its candidate phase."""
@@ -266,12 +270,10 @@ def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
         raise ShapeError(
             f"{len(segments)} segments for a codebook of {len(codebook)}")
 
-    snapshots = []
-    for w, x in zip(codebook.matrices, segments):
-        q = apply_combiner(w, np.asarray(x))
-        snapshots.extend(q[:, k] for k in range(q.shape[1]))
+    stage1 = np.concatenate([apply_combiner(w, x)
+                             for w, x in zip(codebook.matrices, segments)], axis=1)
     try:
-        base = _pencil_pipeline(snapshots, cfg, array.spacing_ratio,
+        base = _pencil_pipeline(stage1.T, cfg, array.spacing_ratio,
                                 dilation=had.m_rf)
     except RankError as exc:
         raise AmbiguousGeometryError(
@@ -280,7 +282,7 @@ def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
 
     amb = ambiguity_set(base, had.m_rf, array.spacing_ratio)
     block = np.asarray(disambiguation_block)
-    g_total = math.ceil(had.m_rf * cfg.num_sources / had.rf_chains)
+    g_total = disambiguation_combiners(had, cfg.num_sources)
     if block.ndim != 2 or block.shape[0] != had.num_antennas:
         raise ShapeError("disambiguation block must be M by K2")
     if block.shape[1] < g_total:

@@ -3,15 +3,13 @@
 A run sweeps one axis (snr, theta, snapshots, or separation), executes D
 seeded trials per sweep point, and reports pooled RMSE next to the matching
 root bound. Per-trial RNG streams derive from (seed, sweep index, trial
-index), so results are identical for any worker count.
+index), and trials run serially in index order.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +27,12 @@ from .arrays import (
 from .combiners import HadConfig, build_codebook, build_pc_codebook
 from .crlb import CrlbInputs, crlb_fd, crlb_spc
 from .errors import ConfigError, ESTIMATOR_FAILURES
-from .estimators import estimate_fd_mpm, estimate_pmpm, estimate_spc_mpm
+from .estimators import (
+    disambiguation_combiners,
+    estimate_fd_mpm,
+    estimate_pmpm,
+    estimate_spc_mpm,
+)
 from .pencil import PencilConfig
 
 ESTIMATOR_SCENARIOS = ("fd_mpm", "pmpm_fc", "pmpm_pc", "spc_mpm")
@@ -37,6 +40,8 @@ CRLB_SCENARIOS = ("crlb_fd", "crlb_spc")
 SCENARIOS = ESTIMATOR_SCENARIOS + CRLB_SCENARIOS
 SWEEP_AXES = ("snr", "theta", "snapshots", "separation")
 
+# perfbench/run.py reads THREADS_ENV and worker_count() for its run metadata
+# and pool share; neither changes how trials run.
 THREADS_ENV = "PENCIL_DOA_THREADS"
 
 # Records whose failure share exceeds this carry the sentinel RMSE of -1.
@@ -220,6 +225,9 @@ class _ScenarioRunner:
 
     @property
     def feasible(self) -> bool:
+        if self.cfg.scenario == "spc_mpm":
+            g_total = disambiguation_combiners(self.had, self.num_sources)
+            return self.k >= 1 and self.k2_total >= g_total
         return self.k >= 1
 
     def pencil_config(self) -> PencilConfig:
@@ -296,16 +304,8 @@ class _ScenarioRunner:
 
 
 def worker_count() -> int:
-    """Worker cap from the environment; 0 or unset means the machine default."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV} must be an integer") from exc
-        if cap > 0:
-            return cap
-    return os.cpu_count() or 1
+    """Trials run serially on the calling thread, so one worker."""
+    return 1
 
 
 def run_experiment(cfg: ExperimentConfig, measure_time: bool = False) -> list:
@@ -318,7 +318,6 @@ def run_experiment(cfg: ExperimentConfig, measure_time: bool = False) -> list:
     """
     cfg.validate()
     records = []
-    workers = worker_count()
     for sweep_index, value in enumerate(cfg.grid):
         start = time.perf_counter()
         point = _resolve_point(cfg, value)
@@ -340,27 +339,17 @@ def run_experiment(cfg: ExperimentConfig, measure_time: bool = False) -> list:
                 wall_ms=_elapsed_ms(start, measure_time)))
             continue
 
-        def one_trial(t, _runner=runner, _si=sweep_index):
-            try:
-                return _runner.run_trial(_si, t)
-            except ESTIMATOR_FAILURES:
-                return None
-
-        if workers == 1 or cfg.trials == 1:
-            outcomes = [one_trial(t) for t in range(cfg.trials)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(one_trial, range(cfg.trials)))
-
         total_sq = 0.0
         count = 0
         failures = 0
-        for sq in outcomes:  # fixed trial-index order keeps reduction exact
-            if sq is None:
+        for trial_index in range(cfg.trials):  # index order keeps the sum exact
+            try:
+                sq = runner.run_trial(sweep_index, trial_index)
+            except ESTIMATOR_FAILURES:
                 failures += 1
-            else:
-                total_sq += float(np.sum(sq))
-                count += sq.size
+                continue
+            total_sq += float(np.sum(sq))
+            count += sq.size
         if failures > FAILURE_SHARE_LIMIT * cfg.trials or count == 0:
             rmse_value = SENTINEL_RMSE
         else:
@@ -392,8 +381,8 @@ def _fixed9(value: float | None) -> str:
 CSV_HEADER = "sweep,scenario,rmse_deg,root_crlb_deg,trials,failures,wall_ms"
 
 
-def emit_csv(records, path) -> None:
-    """Write records as UTF-8 CSV with LF line endings and '.' decimals."""
+def csv_text(records) -> str:
+    """The CSV header and one line per record, each ending in LF."""
     lines = [CSV_HEADER]
     for rec in records:
         lines.append(",".join([
@@ -405,8 +394,13 @@ def emit_csv(records, path) -> None:
             str(rec.failures),
             str(rec.wall_ms),
         ]))
+    return "\n".join(lines) + "\n"
+
+
+def emit_csv(records, path) -> None:
+    """Write records as UTF-8 CSV with LF line endings and '.' decimals."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(csv_text(records))
 
 
 PRESET_NAMES = ("example1", "example2", "example3", "example4")

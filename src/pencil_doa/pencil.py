@@ -1,8 +1,13 @@
-"""Hankel construction, rank-R denoising, and the pencil eigenvalue solve.
+"""Hankel construction, signal-subspace reduction, and the pencil eigenvalue solve.
 
-Shared by all estimation pipelines: one Hankel matrix per snapshot, blocks
-concatenated into an augmented matrix, truncated-SVD denoising, then the
-generalized eigenvalues of the column-deleted pair map to angles.
+Shared by all estimation pipelines. ``augment`` views the K snapshots of a
+(C, K) block as K side-by-side Hankel blocks, the augmented matrix H.
+``svd_denoise`` finds its signal subspace U_R from a thin QR of H^H and the
+SVD of the small triangular factor, and returns the coordinates P = U_R^H H.
+As pinv(U_R P_L) U_R P_R = pinv(P_L) P_R, the column-deleted pair of P has the
+eigenvalues of the rank-R denoised pair: Hua & Sarkar's matrix pencil (IEEE
+TASSP 1990) in the subspace form of ESPRIT (Roy & Kailath, IEEE TASSP 1989),
+with no rank-R reconstruction and no second SVD. Eigenvalues map to angles.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 import warnings
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyInput,
@@ -45,15 +50,11 @@ class PencilConfig:
 
 @dataclass(frozen=True)
 class HankelStack:
-    """Per-snapshot Hankel blocks and their left-to-right concatenation."""
+    """Augmented matrix of ``num_blocks`` side-by-side Hankel blocks."""
 
-    blocks: tuple
     augmented: np.ndarray
     xi: int
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
+    num_blocks: int
 
 
 @dataclass(frozen=True)
@@ -76,36 +77,40 @@ class EigenResult:
 
 
 def hankel(x: np.ndarray, xi: int) -> np.ndarray:
-    """(C-xi)-by-(xi+1) Hankel matrix with entry (i, j) = x[i + j] (0-based)."""
-    x = np.asarray(x).ravel()
-    c = x.size
-    if not 1 <= xi <= c - 1:
-        raise PencilParamError(f"xi={xi} invalid for a length-{c} snapshot")
-    rows = c - xi
-    return scipy.linalg.hankel(x[:rows], x[rows - 1:])
+    """Hankel view along axis 0: entry (i, ..., j) = x[i + j, ...] (0-based).
+
+    (C-xi)-by-(xi+1) for a length-C snapshot, (C-xi, K, xi+1) for a (C, K) block.
+    """
+    x = np.atleast_1d(x)
+    if not 1 <= xi <= x.shape[0] - 1:
+        raise PencilParamError(f"xi={xi} invalid for a length-{x.shape[0]} snapshot")
+    return sliding_window_view(x, xi + 1, axis=0)
 
 
 def augment(snapshots, xi: int) -> HankelStack:
-    """Concatenate one Hankel block per snapshot, in snapshot order."""
-    snapshots = list(snapshots)
-    if not snapshots:
+    """Concatenate one Hankel block per snapshot, in snapshot order.
+
+    ``snapshots`` is a (K, C) array or a sequence of K length-C snapshots.
+    """
+    try:
+        x = np.asarray(snapshots).T
+    except ValueError as exc:
+        raise ShapeError("snapshots must share a common length") from exc
+    if x.size == 0:
         raise EmptyInput("no snapshots to augment")
-    length = np.asarray(snapshots[0]).size
-    blocks = []
-    for snap in snapshots:
-        snap = np.asarray(snap).ravel()
-        if snap.size != length:
-            raise ShapeError("snapshots must share a common length")
-        blocks.append(hankel(snap, xi))
-    return HankelStack(blocks=tuple(blocks),
-                       augmented=np.concatenate(blocks, axis=1), xi=xi)
+    if x.ndim != 2:
+        raise ShapeError("snapshots must form a (K, C) array")
+    blocks = hankel(x, xi)
+    return HankelStack(augmented=blocks.reshape(blocks.shape[0], -1), xi=xi,
+                       num_blocks=x.shape[1])
 
 
 def svd_denoise(stack: HankelStack, num_sources: int):
-    """Best rank-R approximation of the augmented matrix.
+    """Signal subspace of the augmented matrix H as (basis, coords, gap).
 
-    Returns the denoised matrix together with the signal-to-noise singular
-    value gap sigma_R / sigma_{R+1} (inf when there is no discarded value).
+    basis is U_R, the R leading left singular vectors of H; coords is U_R^H H,
+    so basis @ coords is the best rank-R approximation of H; gap is
+    sigma_R / sigma_{R+1} (inf when there is no discarded value).
     """
     aug = stack.augmented
     r = num_sources
@@ -113,12 +118,12 @@ def svd_denoise(stack: HankelStack, num_sources: int):
         raise PencilParamError(
             f"rank {r} exceeds matrix dimensions {aug.shape}")
     try:
-        u, s, vh = np.linalg.svd(aug, full_matrices=False)
+        _, s, vh = np.linalg.svd(np.linalg.qr(aug.conj().T, mode="r"),
+                                 full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("SVD failed to converge") from exc
     gap = float(s[r - 1] / s[r]) if s.size > r and s[r] > 0.0 else float("inf")
-    denoised = (u[:, :r] * s[:r]) @ vh[:r]
-    return denoised, gap
+    return vh[:r].conj().T, vh[:r] @ aug, gap
 
 
 def split_pencil(h_aug: np.ndarray, xi: int, num_blocks: int) -> PencilPair:

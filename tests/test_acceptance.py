@@ -274,8 +274,8 @@ def _sparse_fd_rmse(snr_db, trials, seed):
         z = generate_noise(l, k, rng.child("noise"))
         x = a_virtual @ s + z
         stack = augment([x[:, i] for i in range(k)], l // 2)
-        denoised, _ = svd_denoise(stack, 1)
-        pair = split_pencil(denoised, l // 2, k)
+        _, coords, _ = svd_denoise(stack, 1)
+        pair = split_pencil(coords, l // 2, k)
         eig = pencil_eigenvalues(pair, 1)
         folded = eigen_to_angles(eig, 0.5, dilation=m_rf)
         amb = ambiguity_set(folded, m_rf, 0.5)

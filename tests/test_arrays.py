@@ -23,6 +23,7 @@ from pencil_doa.errors import (
     DegenerateSources,
     ShapeError,
     TrialArityError,
+    UnsupportedGeometry,
 )
 
 
@@ -51,6 +52,14 @@ class TestSteeringMatrix:
                 expected = complex(math.cos(m * mu), math.sin(m * mu))
                 assert abs(sm.entries[m, r] - expected) < 1e-12
         npt.assert_allclose(np.abs(sm.entries), 1.0, atol=1e-12)
+
+    def test_phase_rounded_to_pi_rejected(self):
+        # a valid angle whose sine rounds to 1.0 gives |mu| = pi exactly
+        sources = SourceSet((90.0 - 1e-9,), (1.0,))
+        with pytest.raises(UnsupportedGeometry):
+            steering_matrix(ArrayConfig(8, 0.5), sources)
+        sm = steering_matrix(ArrayConfig(8, 0.25), sources)
+        npt.assert_allclose(sm.phases, [np.pi / 2])
 
     def test_duplicate_angles_rejected(self):
         with pytest.raises(DegenerateSources):

@@ -114,6 +114,18 @@ class TestRunExperiment:
         assert rec.rmse_deg == -1.0
         assert rec.failures == rec.trials == 5
 
+    def test_failure_sentinel_for_short_disambiguation_budget(self):
+        # 24 snapshots leave K2 = 3 for the 4 combiners that 2 sources with
+        # m_rf = 16 need; 48 leave K2 = 6
+        cfg = ExperimentConfig(scenario="spc_mpm", m=128, l=8,
+                               angles_deg=(-20.0, 20.0), snr_db=(10.0,),
+                               sweep="snapshots", grid=(24, 48), trials=3,
+                               seed=1)
+        short, enough = run_experiment(cfg)
+        assert short.rmse_deg == -1.0
+        assert short.failures == short.trials == 3
+        assert enough.failures == 0 and enough.rmse_deg > 0.0
+
     def test_failure_sentinel_for_degenerate_geometry(self):
         # both sources share a virtual steering vector (fold period apart);
         # the rank collapse is only detectable without noise masking it
@@ -304,6 +316,16 @@ class TestCli:
         assert rows[0]["scenario"] == "crlb_fd"
         assert math.isclose(float(rows[0]["root_crlb_deg"]), 0.004365,
                             rel_tol=0.05)
+
+    def test_stdout_matches_written_file(self, tmp_path, capsys):
+        args = ["run", "--scenario", "fd_mpm", "--m", "16", "--snapshots", "8",
+                "--angles-deg", "12", "--sweep", "snr", "--grid", "0,10,inf",
+                "--trials", "4", "--seed", "3"]
+        out_path = tmp_path / "s.csv"
+        assert cli_main(args + ["--out", str(out_path)]) == 0
+        capsys.readouterr()
+        assert cli_main(args) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out_path.read_bytes()
 
     def test_config_error_exit_code(self, capsys):
         rc = cli_main(["run", "--scenario", "nonsense"])

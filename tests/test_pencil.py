@@ -107,7 +107,8 @@ class TestSvdDenoise:
         snaps = [exponential_snapshot([0.5, -0.8], [1.0, 2.0], 10)
                  for _ in range(3)]
         stack = augment(snaps, 4)
-        denoised, gap = svd_denoise(stack, 2)
+        basis, coords, gap = svd_denoise(stack, 2)
+        denoised = basis @ coords
         rel = np.linalg.norm(denoised - stack.augmented) / np.linalg.norm(stack.augmented)
         assert rel < 1e-10
         assert gap > 1e8
@@ -116,8 +117,8 @@ class TestSvdDenoise:
         gen = np.random.default_rng(1)
         snaps = [gen.standard_normal(6) + 1j * gen.standard_normal(6)]
         stack = augment(snaps, 2)
-        denoised, _ = svd_denoise(stack, min(stack.augmented.shape))
-        npt.assert_allclose(denoised, stack.augmented, atol=1e-12)
+        basis, coords, _ = svd_denoise(stack, min(stack.augmented.shape))
+        npt.assert_allclose(basis @ coords, stack.augmented, atol=1e-12)
 
     def test_denoising_strictly_helps_at_high_snr(self):
         gen = np.random.default_rng(7)
@@ -128,11 +129,20 @@ class TestSvdDenoise:
             noise = 1e-2 * (gen.standard_normal(12) + 1j * gen.standard_normal(12))
             stack = augment([clean + noise], 5)
             clean_h = augment([clean], 5).augmented
-            denoised, _ = svd_denoise(stack, 1)
-            if (np.linalg.norm(denoised - clean_h)
+            basis, coords, _ = svd_denoise(stack, 1)
+            if (np.linalg.norm(basis @ coords - clean_h)
                     < np.linalg.norm(stack.augmented - clean_h)):
                 wins += 1
         assert wins == trials
+
+    def test_basis_is_orthonormal_and_coords_project(self):
+        gen = np.random.default_rng(3)
+        snaps = [gen.standard_normal(9) + 1j * gen.standard_normal(9)
+                 for _ in range(4)]
+        stack = augment(snaps, 4)
+        basis, coords, _ = svd_denoise(stack, 2)
+        npt.assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
+        npt.assert_allclose(coords, basis.conj().T @ stack.augmented, atol=1e-12)
 
 
 class TestSplitPencil:

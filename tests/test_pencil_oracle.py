@@ -1,0 +1,107 @@
+"""The subspace pencil solve against the seed kernels it replaced.
+
+``reference_kernels`` holds the seed chain verbatim: a scipy Hankel matrix
+per snapshot, a full SVD, the rank-R reconstruction and a second SVD. The
+package must give the same angles, and raise where it raised.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_kernels as ref
+from pencil_doa import (
+    ArrayConfig,
+    HadConfig,
+    PencilConfig,
+    SourceSet,
+    apply_combiner,
+    augment,
+    build_pc_codebook,
+    estimate_fd_mpm,
+    estimate_spc_mpm,
+    steering_matrix,
+    svd_denoise,
+)
+from pencil_doa.errors import AmbiguousGeometryError, RankError
+
+ANGLE_TOL_DEG = 1e-10
+
+
+def columns(x):
+    return [x[:, k] for k in range(x.shape[1])]
+
+
+@st.composite
+def geometries(draw):
+    m = draw(st.sampled_from([4, 6, 8, 16, 32, 128]))
+    r = draw(st.integers(1, 2))
+    xi = draw(st.integers(r, m - r))
+    k = draw(st.sampled_from([1, 1, 2, 5, 16]))
+    lead = draw(st.floats(-60.0, 60.0))
+    separation = draw(st.sampled_from([0.3, 0.5, 2.0, 15.0]))
+    snr_db = draw(st.sampled_from([0.0, 0.0, 10.0, 30.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    angles = (lead,) if r == 1 else (lead, lead - separation)
+    return m, r, xi, k, angles, snr_db, seed
+
+
+class TestSubspaceSolveMatchesSeedKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(geometries())
+    def test_angles_match_oracle(self, geometry):
+        m, r, xi, k, angles, snr_db, seed = geometry
+        gen = np.random.default_rng(seed)
+        power = 10.0 ** (snr_db / 10.0)
+        array = ArrayConfig(m, 0.5)
+        steer = steering_matrix(array, SourceSet(angles, (power,) * r)).entries
+        s = np.sqrt(power / 2) * (gen.standard_normal((r, k))
+                                  + 1j * gen.standard_normal((r, k)))
+        z = np.sqrt(0.5) * (gen.standard_normal((m, k))
+                            + 1j * gen.standard_normal((m, k)))
+        x = steer @ s + z
+        got = estimate_fd_mpm(x, PencilConfig(xi, r, m), array)
+        want = ref.oracle_angles(columns(x), xi, r, 0.5)
+        assert np.max(np.abs(got - want)) < ANGLE_TOL_DEG
+
+    def test_gap_matches_oracle(self):
+        gen = np.random.default_rng(11)
+        x = gen.standard_normal((16, 5)) + 1j * gen.standard_normal((16, 5))
+        _, _, gap = svd_denoise(augment(x.T, 8), 2)
+        _, want = ref.svd_denoise(ref.augment(columns(x), 8), 2)
+        assert gap == pytest.approx(want, rel=1e-12)
+
+
+class TestRankErrorsMatchSeedKernels:
+    @pytest.mark.parametrize("x", [
+        # one source, model order two: the signal subspace has rank one
+        steering_matrix(ArrayConfig(12, 0.5), SourceSet((20.0,), (1.0,))).entries
+        @ np.array([[1.0 + 0.5j, -0.3j, 2.0]]),
+        np.zeros((12, 3), dtype=complex),
+    ], ids=["one_source_order_two", "all_zero"])
+    def test_rank_deficient_block(self, x):
+        with pytest.raises(RankError):
+            estimate_fd_mpm(x, PencilConfig(6, 2, 12), ArrayConfig(12, 0.5))
+        with pytest.raises(RankError):
+            ref.oracle_angles(columns(x), 6, 2, 0.5)
+
+    def test_noiseless_shared_virtual_steering(self):
+        # -30 and 30 degrees on M=8, L=4 (m_rf=2) fold onto one virtual phase
+        had = HadConfig("pc", 8, 4)
+        array = ArrayConfig(8, 0.5)
+        steer = steering_matrix(array, SourceSet((-30.0, 30.0), (1.0, 1.0))).entries
+        gen = np.random.default_rng(4)
+        codebook = build_pc_codebook(had)
+        segments = [steer @ (gen.standard_normal((2, 3))
+                             + 1j * gen.standard_normal((2, 3)))
+                    for _ in range(len(codebook))]
+        stage1 = np.concatenate([apply_combiner(w, seg) for w, seg
+                                 in zip(codebook.matrices, segments)], axis=1)
+        with pytest.raises(RankError):
+            ref.oracle_angles(columns(stage1), 2, 2, 0.5, dilation=had.m_rf)
+        block2 = steer @ gen.standard_normal((2, 8))
+        with pytest.raises(AmbiguousGeometryError) as info:
+            estimate_spc_mpm(segments, block2, had, PencilConfig(2, 2, 4),
+                             array, codebook=codebook)
+        assert isinstance(info.value.__cause__, RankError)
