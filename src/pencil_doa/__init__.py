@@ -6,14 +6,12 @@ from .arrays import (
     SnapshotBlock,
     SourceSet,
     SteeringMatrix,
-    angle_from_phase,
     generate_noise,
     generate_signals,
     phase_from_angle,
     receive_fd,
     rmse,
     steering_matrix,
-    steering_vector,
 )
 from .combiners import (
     CombinerSet,
@@ -33,7 +31,6 @@ from .crlb import CrlbInputs, CrlbMatrix, crlb_fd, crlb_spc, steering_derivative
 from .estimators import (
     AmbiguitySet,
     DisambiguationPlan,
-    PmpmPlan,
     ambiguity_set,
     build_disambiguation,
     estimate_fd_mpm,

@@ -89,14 +89,6 @@ class SourceSet:
         if len(set(angles)) != len(angles):
             raise DegenerateSources("duplicate source angles")
 
-    @classmethod
-    def from_snr_db(cls, angles_deg, snr_db) -> "SourceSet":
-        """Build a source set from per-source receive SNRs (unit noise variance)."""
-        snrs = np.atleast_1d(np.asarray(snr_db, dtype=float))
-        if snrs.size == 1 and len(tuple(angles_deg)) > 1:
-            snrs = np.repeat(snrs, len(tuple(angles_deg)))
-        return cls(tuple(angles_deg), tuple(10.0 ** (s / 10.0) for s in snrs))
-
     @property
     def count(self) -> int:
         return len(self.angles_deg)
@@ -119,11 +111,6 @@ def phase_from_angle(theta_deg, spacing_ratio: float):
     return 2.0 * np.pi * spacing_ratio * np.sin(np.radians(theta_deg))
 
 
-def angle_from_phase(mu, spacing_ratio: float, dilation: int = 1):
-    """Inverse of :func:`phase_from_angle`; ``dilation`` scales the effective spacing."""
-    return np.degrees(np.arcsin(np.asarray(mu) / (2.0 * np.pi * spacing_ratio * dilation)))
-
-
 def steering_matrix(cfg: ArrayConfig, sources: SourceSet) -> SteeringMatrix:
     """Assemble the M-by-R steering matrix for the given sources.
 
@@ -138,12 +125,6 @@ def steering_matrix(cfg: ArrayConfig, sources: SourceSet) -> SteeringMatrix:
     m_idx = np.arange(cfg.num_antennas)
     entries = np.exp(1j * np.outer(m_idx, mu))
     return SteeringMatrix(entries=entries, phases=mu)
-
-
-def steering_vector(cfg: ArrayConfig, theta_deg: float) -> np.ndarray:
-    """Single steering column for one angle in degrees."""
-    mu = float(phase_from_angle(theta_deg, cfg.spacing_ratio))
-    return np.exp(1j * np.arange(cfg.num_antennas) * mu)
 
 
 def generate_signals(sources: SourceSet, snapshots: int, segments: int,

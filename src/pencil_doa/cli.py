@@ -8,6 +8,7 @@ from dataclasses import replace
 
 from .errors import ConfigError
 from .harness import (
+    CONFIG_FIELD_TYPES,
     CRLB_SCENARIOS,
     PRESET_NAMES,
     config_from_mapping,
@@ -19,15 +20,8 @@ from .harness import (
     run_experiment,
 )
 
-_OVERRIDE_KEYS = (
-    "scenario", "m", "l", "spacing_ratio", "angles_deg", "powers", "snr_db",
-    "snapshots", "split_divisor", "xi", "sweep", "grid", "trials", "seed",
-    "random_theta", "edge_offset_deg",
-)
-
-
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    for key in _OVERRIDE_KEYS:
+    for key in CONFIG_FIELD_TYPES:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
     parser.add_argument("--out", default=None, help="CSV output path")
     parser.add_argument("--timing", action="store_true",
@@ -37,7 +31,7 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
     values = {}
-    for key in _OVERRIDE_KEYS:
+    for key in CONFIG_FIELD_TYPES:
         raw = getattr(args, key, None)
         if raw is not None:
             values[key] = parse_config_value(key, str(raw))

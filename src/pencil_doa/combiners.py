@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import ConfigError, ShapeError, UnsupportedGeometry
 
@@ -61,7 +60,6 @@ class CombinerSet:
 
     matrices: tuple
     phase_grid: np.ndarray
-    architecture: str
     alpha: float
     m_rf: int
 
@@ -129,7 +127,20 @@ def build_fc_codebook(cfg: HadConfig) -> CombinerSet:
         dft[:, n * l:(n + 1) * l] / math.sqrt(l) for n in range(cfg.n_combiners)
     )
     return CombinerSet(matrices=matrices, phase_grid=phases,
-                       architecture=FC, alpha=cfg.alpha, m_rf=cfg.m_rf)
+                       alpha=cfg.alpha, m_rf=cfg.m_rf)
+
+
+def block_diagonal(columns) -> np.ndarray:
+    """(L*m_rf)-by-L matrix whose block ell is the column ``columns[ell]``.
+
+    ``columns`` is an (L, m_rf) array; every entry off the diagonal blocks is
+    zero, so each RF chain sees only its own subarray.
+    """
+    columns = np.asarray(columns)
+    l, m_rf = columns.shape
+    out = np.zeros((l, m_rf, l), dtype=columns.dtype)
+    out[np.arange(l), :, np.arange(l)] = columns
+    return out.reshape(l * m_rf, l)
 
 
 def build_pc_codebook(cfg: HadConfig) -> CombinerSet:
@@ -142,12 +153,12 @@ def build_pc_codebook(cfg: HadConfig) -> CombinerSet:
         raise ConfigError("config does not describe a partially-connected receiver")
     m_rf = cfg.m_rf
     phases = np.array([dft_phase(n, m_rf) for n in range(1, m_rf + 1)])
-    matrices = []
-    for n in range(1, cfg.n_combiners + 1):
-        col = dft_column(n, m_rf).reshape(-1, 1)
-        matrices.append(block_diag(*([col] * cfg.rf_chains)))
-    return CombinerSet(matrices=tuple(matrices), phase_grid=phases,
-                       architecture=PC, alpha=cfg.alpha, m_rf=cfg.m_rf)
+    matrices = tuple(
+        block_diagonal(np.tile(dft_column(n, m_rf), (cfg.rf_chains, 1)))
+        for n in range(1, cfg.n_combiners + 1)
+    )
+    return CombinerSet(matrices=matrices, phase_grid=phases,
+                       alpha=cfg.alpha, m_rf=cfg.m_rf)
 
 
 def build_codebook(cfg: HadConfig) -> CombinerSet:

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .arrays import ArrayConfig, SnapshotBlock, phase_from_angle
 from .combiners import (
@@ -24,6 +23,7 @@ from .combiners import (
     CombinerSet,
     HadConfig,
     apply_combiner,
+    block_diagonal,
     build_pc_codebook,
 )
 from .errors import (
@@ -65,36 +65,25 @@ def estimate_fd_mpm(x: SnapshotBlock, cfg: PencilConfig,
     return _pencil_pipeline(x.T, cfg, array.spacing_ratio)
 
 
-@dataclass(frozen=True)
-class PmpmPlan:
-    """Codebook plus the matched digital combiners that undo the analog stage."""
-
-    codebook: CombinerSet
-    snapshots_per_segment: int
-
-    @property
-    def digital_combiners(self) -> tuple:
-        scale = self.codebook.projector_scale
-        return tuple(scale * w for w in self.codebook.matrices)
-
-
-def pmpm_aggregate(q_blocks, plan: PmpmPlan) -> SnapshotBlock:
+def pmpm_aggregate(q_blocks, codebook: CombinerSet) -> SnapshotBlock:
     """Sum the digitally re-projected combiner outputs into one M-by-K block.
 
-    With a signal repeated across segments, the projector completeness of the
-    codebook makes the noiseless aggregate equal the full-array receive block.
+    The digital combiner matched to analog combiner W is
+    ``codebook.projector_scale * W``. With a signal repeated across segments,
+    the projector completeness of the codebook makes the noiseless aggregate
+    equal the full-array receive block.
     """
     q_blocks = list(q_blocks)
-    digital = plan.digital_combiners
-    if len(q_blocks) != len(digital):
+    if len(q_blocks) != len(codebook):
         raise ShapeError(
-            f"{len(q_blocks)} combiner outputs for a codebook of {len(digital)}")
+            f"{len(q_blocks)} combiner outputs for a codebook of {len(codebook)}")
+    scale = codebook.projector_scale
     total = None
-    for w_d, q in zip(digital, q_blocks):
+    for w, q in zip(codebook.matrices, q_blocks):
         q = np.asarray(q)
-        if q.ndim != 2 or q.shape[0] != w_d.shape[1]:
+        if q.ndim != 2 or q.shape[0] != w.shape[1]:
             raise ShapeError(f"combiner output {q.shape} has wrong channel count")
-        term = w_d @ q
+        term = (scale * w) @ q
         total = term if total is None else total + term
     return total
 
@@ -111,10 +100,8 @@ def estimate_pmpm(segments, codebook: CombinerSet, cfg: PencilConfig,
     if len(segments) != len(codebook):
         raise ShapeError(
             f"{len(segments)} segments for a codebook of {len(codebook)}")
-    k = np.asarray(segments[0]).shape[1]
-    plan = PmpmPlan(codebook=codebook, snapshots_per_segment=k)
     q_blocks = [apply_combiner(w, x) for w, x in zip(codebook.matrices, segments)]
-    y = pmpm_aggregate(q_blocks, plan)
+    y = pmpm_aggregate(q_blocks, codebook)
     return estimate_fd_mpm(y, cfg, array)
 
 
@@ -161,10 +148,6 @@ def ambiguity_set(base_angles_deg, m_rf: int,
                         spacing_ratio=spacing_ratio)
 
 
-def _steered_block(mu: float, m_rf: int) -> np.ndarray:
-    return np.exp(1j * np.arange(m_rf) * mu).reshape(-1, 1)
-
-
 @dataclass(frozen=True)
 class DisambiguationPlan:
     """Candidate-steered block-diagonal combiners for the SNR scan.
@@ -176,7 +159,6 @@ class DisambiguationPlan:
 
     combiners: tuple
     slot_phases: np.ndarray
-    snapshots_per_combiner: int
     padded: bool
 
     @property
@@ -189,8 +171,7 @@ def disambiguation_combiners(had: HadConfig, num_sources: int) -> int:
     return math.ceil(had.m_rf * num_sources / had.rf_chains)
 
 
-def build_disambiguation(amb: AmbiguitySet, cfg: HadConfig,
-                         snapshots: int) -> DisambiguationPlan:
+def build_disambiguation(amb: AmbiguitySet, cfg: HadConfig) -> DisambiguationPlan:
     """One combiner per L candidates, each block steered to its candidate phase."""
     if cfg.architecture != PC:
         raise ConfigError("disambiguation combiners require the PC architecture")
@@ -199,13 +180,11 @@ def build_disambiguation(amb: AmbiguitySet, cfg: HadConfig,
     g_total = math.ceil(flat.size / l)
     padded = flat.size % l != 0
     slots = np.concatenate([flat, np.full(g_total * l - flat.size, flat[-1])])
-    combiners = tuple(
-        block_diag(*[_steered_block(slots[g * l + ell], cfg.m_rf)
-                     for ell in range(l)])
-        for g in range(g_total)
-    )
+    steered = np.exp(1j * np.arange(cfg.m_rf) * slots[:, None])
+    combiners = tuple(block_diagonal(steered[g * l:(g + 1) * l])
+                      for g in range(g_total))
     return DisambiguationPlan(combiners=combiners, slot_phases=slots,
-                              snapshots_per_combiner=snapshots, padded=padded)
+                              padded=padded)
 
 
 def resolve_ambiguity(plan: DisambiguationPlan, segments,
@@ -289,6 +268,6 @@ def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
         raise ConfigError(
             f"disambiguation budget {block.shape[1]} below combiner count {g_total}")
     k2 = block.shape[1] // g_total
-    plan = build_disambiguation(amb, had, k2)
+    plan = build_disambiguation(amb, had)
     chunks = [block[:, g * k2:(g + 1) * k2] for g in range(g_total)]
     return np.sort(resolve_ambiguity(plan, chunks, amb))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .arrays import (
     receive_fd,
     steering_matrix,
 )
-from .combiners import HadConfig, build_codebook, build_pc_codebook
+from .combiners import HadConfig, build_codebook
 from .crlb import CrlbInputs, crlb_fd, crlb_spc
 from .errors import ConfigError, ESTIMATOR_FAILURES
 from .estimators import (
@@ -203,7 +203,7 @@ class _ScenarioRunner:
             self.had = HadConfig("fc", cfg.m, cfg.l)
         elif scenario in ("pmpm_pc", "spc_mpm", "crlb_spc"):
             self.had = HadConfig("pc", cfg.m, cfg.l)
-        if self.had is not None and scenario != "crlb_spc":
+        if self.had is not None:
             self.codebook = build_codebook(self.had)
 
         self.num_sources = _source_count(cfg)
@@ -233,6 +233,18 @@ class _ScenarioRunner:
     def pencil_config(self) -> PencilConfig:
         return PencilConfig(self.xi, self.num_sources, self.channels)
 
+    def _segments(self, sources: SourceSet, steer, rng: RngSpec,
+                  periodic: bool) -> list:
+        """One M-by-k receive block per codebook entry, signals repeated if periodic."""
+        n = self.had.n_combiners
+        sigs = generate_signals(sources, self.k, n, periodic, rng.child("signal"))
+        return [
+            receive_fd(steer, sigs[i],
+                       _noise_block(self.cfg.m, self.k, rng.child("noise", i),
+                                    self.point.noiseless))
+            for i in range(n)
+        ]
+
     def run_trial(self, sweep_index: int, trial_index: int) -> np.ndarray:
         cfg, point = self.cfg, self.point
         rng = RngSpec(cfg.seed).child(sweep_index, trial_index)
@@ -249,24 +261,10 @@ class _ScenarioRunner:
             noise = _noise_block(cfg.m, self.k, rng.child("noise"), point.noiseless)
             estimates = estimate_fd_mpm(receive_fd(steer, sig, noise), pcfg, self.array)
         elif cfg.scenario in ("pmpm_fc", "pmpm_pc"):
-            n = self.had.n_combiners
-            sigs = generate_signals(sources, self.k, n, True, rng.child("signal"))
-            segments = [
-                receive_fd(steer, sigs[i],
-                           _noise_block(cfg.m, self.k, rng.child("noise", i),
-                                        point.noiseless))
-                for i in range(n)
-            ]
+            segments = self._segments(sources, steer, rng, periodic=True)
             estimates = estimate_pmpm(segments, self.codebook, pcfg, self.array)
         else:  # spc_mpm
-            n = self.had.n_combiners
-            sigs = generate_signals(sources, self.k, n, False, rng.child("signal"))
-            segments = [
-                receive_fd(steer, sigs[i],
-                           _noise_block(cfg.m, self.k, rng.child("noise", i),
-                                        point.noiseless))
-                for i in range(n)
-            ]
+            segments = self._segments(sources, steer, rng, periodic=False)
             sig2 = generate_signals(sources, self.k2_total, 1, False,
                                     rng.child("signal2"))[0]
             noise2 = _noise_block(cfg.m, self.k2_total, rng.child("noise2"),
@@ -288,12 +286,11 @@ class _ScenarioRunner:
             elif scenario in ("pmpm_fc", "pmpm_pc"):
                 bound = crlb_fd(CrlbInputs(self.array, sources, self.k))
             else:
-                codebook = self.codebook or build_pc_codebook(self.had)
                 k = self.k if scenario == "spc_mpm" else self._spc_bound_k()
                 if k < 1:
                     return None
                 bound = crlb_spc(CrlbInputs(self.array, sources, k,
-                                            combiners=codebook))
+                                            combiners=self.codebook))
             return bound.pooled_root_deg
         except ESTIMATOR_FAILURES:
             return None
@@ -440,30 +437,29 @@ def preset(name: str) -> ExperimentConfig:
     raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
-_TUPLE_FLOAT_FIELDS = {"angles_deg", "powers", "snr_db", "grid"}
-_INT_FIELDS = {"m", "l", "snapshots", "split_divisor", "xi", "trials", "seed"}
-_FLOAT_FIELDS = {"spacing_ratio", "edge_offset_deg"}
-_BOOL_FIELDS = {"random_theta"}
-_STR_FIELDS = {"scenario", "sweep"}
+# Field name -> annotated type without "| None"; tuples hold floats.
+CONFIG_FIELD_TYPES = {f.name: f.type.split(" | ")[0]
+                      for f in fields(ExperimentConfig)}
 
 
 def parse_config_value(key: str, raw: str):
     """Parse one flat ``key = value`` entry into its typed form."""
     raw = raw.strip()
-    if key in _TUPLE_FLOAT_FIELDS:
+    kind = CONFIG_FIELD_TYPES.get(key)
+    if kind == "tuple":
         return tuple(float(part) for part in raw.split(",") if part.strip())
-    if key in _INT_FIELDS:
+    if kind == "int":
         return int(raw)
-    if key in _FLOAT_FIELDS:
+    if kind == "float":
         return float(raw)
-    if key in _BOOL_FIELDS:
+    if kind == "bool":
         lowered = raw.lower()
         if lowered in ("true", "1", "yes", "on"):
             return True
         if lowered in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if key in _STR_FIELDS:
+    if kind == "str":
         return raw
     raise ConfigError(f"unknown configuration key {key!r}")
 

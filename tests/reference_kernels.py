@@ -1,4 +1,4 @@
-"""Frozen copy of the seed pencil kernels, kept as the oracle for the subspace solve.
+"""Frozen copies of seed kernels, kept as oracles for the code that replaced them.
 
 ``hankel``, ``augment``, ``svd_denoise``, ``split_pencil`` and
 ``pencil_eigenvalues`` (with the types they pass along) are the package's
@@ -6,23 +6,33 @@ original implementation, copied verbatim: one scipy Hankel matrix per
 snapshot, a full SVD of the augmented matrix, the rank-R reconstruction, and
 a second SVD for the pseudo-inverse. ``oracle_angles`` chains them as the
 estimators once did, ending in the package's unchanged ``eigen_to_angles``.
+
+``build_pc_codebook`` and ``build_disambiguation`` (with ``CombinerSet``,
+``DisambiguationPlan`` and ``_steered_block``) are the seed combiner builders,
+copied verbatim: dense matrices assembled with scipy's ``block_diag``.
+
 Do not edit them to follow the package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import block_diag
 
+from pencil_doa.combiners import PC, HadConfig, dft_column, dft_phase
 from pencil_doa.errors import (
+    ConfigError,
     EmptyInput,
     NumericalError,
     PencilParamError,
     RankError,
     ShapeError,
 )
+from pencil_doa.estimators import AmbiguitySet
 from pencil_doa.pencil import eigen_to_angles
 
 # Relative singular-value cutoff for pseudo-inverses and rank decisions.
@@ -159,3 +169,82 @@ def oracle_angles(snapshots, xi: int, num_sources: int, spacing_ratio: float,
     pair = split_pencil(denoised, xi, stack.num_blocks)
     eig = pencil_eigenvalues(pair, num_sources)
     return eigen_to_angles(eig, spacing_ratio, dilation=dilation)
+
+
+@dataclass(frozen=True)
+class CombinerSet:
+    """Ordered analog combiners plus the wrapped DFT phase grid behind them."""
+
+    matrices: tuple
+    phase_grid: np.ndarray
+    architecture: str
+    alpha: float
+    m_rf: int
+
+    def __len__(self) -> int:
+        return len(self.matrices)
+
+    @property
+    def projector_scale(self) -> float:
+        """1/(alpha^2 * m_rf), the normalization turning W W^H into a projector."""
+        return 1.0 / (self.alpha**2 * self.m_rf)
+
+
+def build_pc_codebook(cfg: HadConfig) -> CombinerSet:
+    """Partially-connected single-phase codebook: N block-diagonal matrices.
+
+    Matrix n repeats the n-th DFT column of the subarray across all L diagonal
+    blocks, so every RF chain applies the identical phase progression.
+    """
+    if cfg.architecture != PC:
+        raise ConfigError("config does not describe a partially-connected receiver")
+    m_rf = cfg.m_rf
+    phases = np.array([dft_phase(n, m_rf) for n in range(1, m_rf + 1)])
+    matrices = []
+    for n in range(1, cfg.n_combiners + 1):
+        col = dft_column(n, m_rf).reshape(-1, 1)
+        matrices.append(block_diag(*([col] * cfg.rf_chains)))
+    return CombinerSet(matrices=tuple(matrices), phase_grid=phases,
+                       architecture=PC, alpha=cfg.alpha, m_rf=cfg.m_rf)
+
+
+def _steered_block(mu: float, m_rf: int) -> np.ndarray:
+    return np.exp(1j * np.arange(m_rf) * mu).reshape(-1, 1)
+
+
+@dataclass(frozen=True)
+class DisambiguationPlan:
+    """Candidate-steered block-diagonal combiners for the SNR scan.
+
+    Slot j (1-based) of the flattened candidate list lives in combiner
+    g = ceil(j/L) at block ell = j - (g-1)L. When the candidate count is not
+    a multiple of L, the final combiner repeats the last candidate to fill.
+    """
+
+    combiners: tuple
+    slot_phases: np.ndarray
+    snapshots_per_combiner: int
+    padded: bool
+
+    @property
+    def num_combiners(self) -> int:
+        return len(self.combiners)
+
+
+def build_disambiguation(amb: AmbiguitySet, cfg: HadConfig,
+                         snapshots: int) -> DisambiguationPlan:
+    """One combiner per L candidates, each block steered to its candidate phase."""
+    if cfg.architecture != PC:
+        raise ConfigError("disambiguation combiners require the PC architecture")
+    flat = amb.flat
+    l = cfg.rf_chains
+    g_total = math.ceil(flat.size / l)
+    padded = flat.size % l != 0
+    slots = np.concatenate([flat, np.full(g_total * l - flat.size, flat[-1])])
+    combiners = tuple(
+        block_diag(*[_steered_block(slots[g * l + ell], cfg.m_rf)
+                     for ell in range(l)])
+        for g in range(g_total)
+    )
+    return DisambiguationPlan(combiners=combiners, slot_phases=slots,
+                              snapshots_per_combiner=snapshots, padded=padded)

@@ -16,7 +16,6 @@ from pencil_doa import (
     CrlbInputs,
     HadConfig,
     PencilConfig,
-    PmpmPlan,
     RngSpec,
     SourceSet,
     ambiguity_set,
@@ -169,20 +168,19 @@ def test_criterion_2_aggregation_identity():
         segments = [steer.entries @ s for _ in range(had.n_combiners)]
         q_blocks = [apply_combiner(w, x)
                     for w, x in zip(codebook.matrices, segments)]
-        y = pmpm_aggregate(q_blocks, PmpmPlan(codebook, k))
+        y = pmpm_aggregate(q_blocks, codebook)
         worst_identity = max(worst_identity,
                              float(np.linalg.norm(y - steer.entries @ s)))
 
     had = HadConfig("pc", m, l)
     codebook = build_pc_codebook(had)
-    plan = PmpmPlan(codebook, k)
     total, count, t = 0.0, 0, 0
     while count < 10_000:
         noise = [generate_noise(m, k, RngSpec(21).child(t, n))
                  for n in range(had.n_combiners)]
         q_blocks = [apply_combiner(w, z)
                     for w, z in zip(codebook.matrices, noise)]
-        y = pmpm_aggregate(q_blocks, plan)
+        y = pmpm_aggregate(q_blocks, codebook)
         total += float(np.sum(np.abs(y) ** 2))
         count += y.size
         t += 1

@@ -8,7 +8,6 @@ from pencil_doa import (
     ArrayConfig,
     HadConfig,
     PencilConfig,
-    PmpmPlan,
     RngSpec,
     SourceSet,
     ambiguity_set,
@@ -101,14 +100,14 @@ class TestPmpmAggregate:
         s = generate_signals(src, k, 1, False, RngSpec(2))[0]
         segments = [sm.entries @ s for _ in range(had.n_combiners)]
         q = [apply_combiner(w, x) for w, x in zip(cb.matrices, segments)]
-        y = pmpm_aggregate(q, PmpmPlan(cb, k))
+        y = pmpm_aggregate(q, cb)
         assert np.linalg.norm(y - sm.entries @ s) < 1e-10
 
     def test_digital_combiner_inverts_analog(self):
         had = HadConfig("fc", 16, 4)
         cb = build_fc_codebook(had)
-        plan = PmpmPlan(cb, 1)
-        for w_d, w_a in zip(plan.digital_combiners, cb.matrices):
+        for w_a in cb.matrices:
+            w_d = cb.projector_scale * w_a
             npt.assert_allclose(w_d.conj().T @ w_a, np.eye(4), atol=1e-10)
 
     def test_aggregate_noise_unit_variance(self):
@@ -116,14 +115,13 @@ class TestPmpmAggregate:
         m, l, k = 16, 4, 8
         had = HadConfig("pc", m, l)
         cb = build_pc_codebook(had)
-        plan = PmpmPlan(cb, k)
         total, count = 0.0, 0
         t = 0
         while count < 10_000:
             segs = [generate_noise(m, k, RngSpec(6).child(t, n))
                     for n in range(had.n_combiners)]
             q = [apply_combiner(w, z) for w, z in zip(cb.matrices, segs)]
-            y = pmpm_aggregate(q, plan)
+            y = pmpm_aggregate(q, cb)
             total += float(np.sum(np.abs(y) ** 2))
             count += y.size
             t += 1
@@ -133,7 +131,7 @@ class TestPmpmAggregate:
         had = HadConfig("pc", 8, 2)
         cb = build_pc_codebook(had)
         with pytest.raises(ShapeError):
-            pmpm_aggregate([np.zeros((2, 1))], PmpmPlan(cb, 1))
+            pmpm_aggregate([np.zeros((2, 1))], cb)
 
 
 class TestEstimatePmpm:
@@ -236,19 +234,19 @@ class TestAmbiguitySet:
 class TestBuildDisambiguation:
     def test_single_combiner_for_full_chain_budget(self):
         amb = ambiguity_set([10.0], 8, 0.5)
-        plan = build_disambiguation(amb, HadConfig("pc", 64, 8), 4)
+        plan = build_disambiguation(amb, HadConfig("pc", 64, 8))
         assert plan.num_combiners == 1
         assert not plan.padded
         assert plan.combiners[0].shape == (64, 8)
 
     def test_four_sources_four_combiners(self):
         amb = ambiguity_set([-50.0, -10.0, 20.0, 60.0], 8, 0.5)
-        plan = build_disambiguation(amb, HadConfig("pc", 64, 8), 4)
+        plan = build_disambiguation(amb, HadConfig("pc", 64, 8))
         assert plan.num_combiners == 4
 
     def test_padding_when_candidates_fall_short(self):
         amb = ambiguity_set([10.0], 4, 0.5)  # 4 candidates for 8 chains
-        plan = build_disambiguation(amb, HadConfig("pc", 32, 8), 4)
+        plan = build_disambiguation(amb, HadConfig("pc", 32, 8))
         assert plan.num_combiners == 1
         assert plan.padded
         npt.assert_allclose(plan.slot_phases[:4], amb.per_source[0])
@@ -257,7 +255,7 @@ class TestBuildDisambiguation:
     def test_blocks_steered_to_candidates(self):
         amb = ambiguity_set([25.0], 4, 0.5)
         had = HadConfig("pc", 16, 4)
-        plan = build_disambiguation(amb, had, 2)
+        plan = build_disambiguation(amb, had)
         w = plan.combiners[0]
         for ell, mu in enumerate(amb.per_source[0]):
             block = w[ell * 4:(ell + 1) * 4, ell]
@@ -277,7 +275,7 @@ class TestResolveAmbiguity:
 
         amb = ambiguity_set([theta], m_rf, 0.5)
         k2 = 16
-        plan = build_disambiguation(amb, had, k2)
+        plan = build_disambiguation(amb, had)
         s = generate_signals(src, k2, 1, False, RngSpec(9))[0]
         segments = [sm.entries @ s]
 

@@ -1,9 +1,12 @@
+import argparse
 import csv
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from pencil_doa.cli import build_parser
 from pencil_doa.cli import main as cli_main
 from pencil_doa.errors import ConfigError
 from pencil_doa.harness import (
@@ -16,6 +19,7 @@ from pencil_doa.harness import (
     config_from_mapping,
     emit_csv,
     load_config_file,
+    parse_config_value,
     preset,
     run_experiment,
 )
@@ -275,6 +279,52 @@ class TestConfigFile:
         cfg_path.write_text("scenario fd_mpm\n")
         with pytest.raises(ConfigError):
             load_config_file(cfg_path)
+
+
+# One raw entry per ExperimentConfig field and the value it must parse to.
+FIELD_SAMPLES = {
+    "scenario": ("spc_mpm", "spc_mpm"),
+    "m": ("64", 64),
+    "l": ("8", 8),
+    "spacing_ratio": ("0.25", 0.25),
+    "angles_deg": ("-10, 20.5", (-10.0, 20.5)),
+    "powers": ("1,2", (1.0, 2.0)),
+    "snr_db": ("5", (5.0,)),
+    "snapshots": ("256", 256),
+    "split_divisor": ("4", 4),
+    "xi": ("3", 3),
+    "sweep": ("theta", "theta"),
+    "grid": ("0,inf", (0.0, math.inf)),
+    "trials": ("7", 7),
+    "seed": ("11", 11),
+    "random_theta": ("yes", True),
+    "edge_offset_deg": ("2.5", 2.5),
+}
+
+
+class TestConfigSchema:
+    def test_run_flags_are_the_config_fields(self):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        dests = {action.dest for action in sub.choices["run"]._actions}
+        assert dests - {"help", "config", "out", "timing"} == {
+            f.name for f in fields(ExperimentConfig)}
+
+    def test_every_field_has_a_sample(self):
+        assert set(FIELD_SAMPLES) == {f.name for f in fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("key", sorted(FIELD_SAMPLES))
+    def test_field_parses_to_its_type(self, key):
+        raw, expected = FIELD_SAMPLES[key]
+        value = parse_config_value(key, raw)
+        assert value == expected
+        assert type(value) is type(expected)
+        if isinstance(expected, tuple):
+            assert all(type(part) is float for part in value)
+
+    def test_bad_boolean_rejected(self):
+        with pytest.raises(ConfigError):
+            parse_config_value("random_theta", "maybe")
 
 
 class TestCli:
