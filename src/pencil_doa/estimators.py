@@ -194,7 +194,9 @@ def resolve_ambiguity(plan: DisambiguationPlan, segments,
     The metric for candidate slot (g, ell) is the mean output power of RF
     chain ell under combiner g, normalized by the beamforming gain, minus the
     unit noise floor. Ties break toward the candidate of smaller phase
-    magnitude. Returns one angle per source, in source order.
+    magnitude. Returns one angle per source, in source order; the arcsine
+    argument is clamped to [-1, 1], since a candidate may sit up to 1e-9 past
+    pi and, below half-wavelength spacing, outside the visible region.
     """
     segments = list(segments)
     if len(segments) != plan.num_combiners:
@@ -219,8 +221,8 @@ def resolve_ambiguity(plan: DisambiguationPlan, segments,
         ties = np.nonzero(metrics == best)[0]
         pick = ties[np.argmin(np.abs(cands[ties]))]
         mu_hat = cands[pick]
-        angles[r] = math.degrees(
-            math.asin(mu_hat / (2.0 * np.pi * amb.spacing_ratio)))
+        sine = mu_hat / (2.0 * np.pi * amb.spacing_ratio)
+        angles[r] = math.degrees(math.asin(min(1.0, max(-1.0, sine))))
     return angles
 
 

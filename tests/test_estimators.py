@@ -294,6 +294,18 @@ class TestResolveAmbiguity:
         angles = resolve_ambiguity(plan, segments, amb)
         npt.assert_allclose(angles, [theta], atol=1e-9)
 
+    def test_candidate_past_pi_gives_endfire_angle(self):
+        # Base phase just above 0 with m_rf = 2: the second candidate is
+        # mu + pi, inside the 1e-9 tolerance past pi. Blocks steered to it
+        # make it win, and its angle is the clamped +90 degrees.
+        had = HadConfig("pc", 2, 1)
+        amb = ambiguity_set([1e-9], had.m_rf, 0.5)
+        assert amb.per_source[0][-1] > np.pi
+        plan = build_disambiguation(amb, had)
+        block = np.exp(1j * np.arange(2) * amb.per_source[0][-1])[:, None]
+        angles = resolve_ambiguity(plan, [block] * plan.num_combiners, amb)
+        npt.assert_array_equal(angles, [90.0])
+
     def test_selection_rate_at_moderate_snr(self):
         m, l, ktot = 32, 8, 128
         had = HadConfig("pc", m, l)
