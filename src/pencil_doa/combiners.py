@@ -4,6 +4,12 @@ Covers both architectures: fully-connected (every RF chain sees all antennas,
 power split across chains) and partially-connected (disjoint subarrays of
 ``m_rf`` antennas per RF chain). Also provides the subarray gain kernel and
 the spatial sectors swept by the partially-connected codebook.
+
+Every combiner is stored as its subarray columns, an array of shape
+(blocks, width, m_rf), never as a dense M-by-L matrix: (1, L, M) under FC,
+(L, 1, m_rf) under PC and for the disambiguation scan. Only this module
+builds or reads that layout; other modules pass the arrays to
+``apply_combiner`` (W^H X) and ``apply_adjoint`` (W Q).
 """
 
 from __future__ import annotations
@@ -56,20 +62,38 @@ class HadConfig:
 
 @dataclass(frozen=True)
 class CombinerSet:
-    """Ordered analog combiners plus the wrapped DFT phase grid behind them."""
+    """Ordered analog combiners plus the wrapped DFT phase grid behind them.
 
-    matrices: tuple
+    ``columns`` has shape (N, blocks, width, m_rf): combiner n is the dense
+    M-by-L matrix W with W[b*m_rf + m, b*width + w] = columns[n, b, w, m],
+    zero elsewhere. FC combiners are one block of L scaled DFT columns;
+    PC combiners are L blocks of one DFT column each.
+    """
+
+    columns: np.ndarray
     phase_grid: np.ndarray
     alpha: float
     m_rf: int
 
     def __len__(self) -> int:
-        return len(self.matrices)
+        return len(self.columns)
+
+    @property
+    def rf_chains(self) -> int:
+        """L = blocks * width, the output channels of every combiner."""
+        blocks, width, _ = self.columns.shape[-3:]
+        return blocks * width
 
     @property
     def projector_scale(self) -> float:
         """1/(alpha^2 * m_rf), the normalization turning W W^H into a projector."""
         return 1.0 / (self.alpha**2 * self.m_rf)
+
+    def is_semi_unitary(self, gain: float) -> bool:
+        """Whether W^H W = gain * I for every combiner: C[b] C[b]^H per block."""
+        c = self.columns
+        gram = c @ c.conj().swapaxes(-1, -2)
+        return bool(np.allclose(gram, gain * np.eye(c.shape[-2]), atol=1e-8))
 
 
 @dataclass(frozen=True)
@@ -112,53 +136,44 @@ def dft_column(n: int, m_rf: int) -> np.ndarray:
 
 
 def build_fc_codebook(cfg: HadConfig) -> CombinerSet:
-    """Fully-connected codebook: N matrices of L consecutive DFT columns.
+    """Fully-connected codebook: N combiners of L consecutive DFT columns.
 
-    Each matrix is scaled by 1/sqrt(L) for power splitting; the union of all
+    Each combiner is scaled by 1/sqrt(L) for power splitting; the union of all
     columns is the full M-point DFT matrix, so the set resolves the identity.
     """
     if cfg.architecture != FC:
         raise ConfigError("config does not describe a fully-connected receiver")
-    m = cfg.num_antennas
+    m, l = cfg.num_antennas, cfg.rf_chains
     phases = np.array([dft_phase(c, m) for c in range(1, m + 1)])
     dft = np.exp(1j * np.outer(np.arange(m), phases))
-    l = cfg.rf_chains
-    matrices = tuple(
-        dft[:, n * l:(n + 1) * l] / math.sqrt(l) for n in range(cfg.n_combiners)
-    )
-    return CombinerSet(matrices=matrices, phase_grid=phases,
+    columns = dft.T.reshape(cfg.n_combiners, 1, l, m) / math.sqrt(l)
+    return CombinerSet(columns=columns, phase_grid=phases,
                        alpha=cfg.alpha, m_rf=cfg.m_rf)
-
-
-def block_diagonal(columns) -> np.ndarray:
-    """(L*m_rf)-by-L matrix whose block ell is the column ``columns[ell]``.
-
-    ``columns`` is an (L, m_rf) array; every entry off the diagonal blocks is
-    zero, so each RF chain sees only its own subarray.
-    """
-    columns = np.asarray(columns)
-    l, m_rf = columns.shape
-    out = np.zeros((l, m_rf, l), dtype=columns.dtype)
-    out[np.arange(l), :, np.arange(l)] = columns
-    return out.reshape(l * m_rf, l)
 
 
 def build_pc_codebook(cfg: HadConfig) -> CombinerSet:
-    """Partially-connected single-phase codebook: N block-diagonal matrices.
+    """Partially-connected single-phase codebook: N block-diagonal combiners.
 
-    Matrix n repeats the n-th DFT column of the subarray across all L diagonal
-    blocks, so every RF chain applies the identical phase progression.
+    Combiner n repeats the n-th DFT column of the subarray on all L blocks,
+    so every RF chain applies the identical phase progression.
     """
     if cfg.architecture != PC:
         raise ConfigError("config does not describe a partially-connected receiver")
-    m_rf = cfg.m_rf
+    m_rf, l = cfg.m_rf, cfg.rf_chains
     phases = np.array([dft_phase(n, m_rf) for n in range(1, m_rf + 1)])
-    matrices = tuple(
-        block_diagonal(np.tile(dft_column(n, m_rf), (cfg.rf_chains, 1)))
-        for n in range(1, cfg.n_combiners + 1)
-    )
-    return CombinerSet(matrices=matrices, phase_grid=phases,
-                       alpha=cfg.alpha, m_rf=cfg.m_rf)
+    dft = np.exp(1j * np.arange(m_rf) * phases[:, None])  # N = m_rf columns
+    return CombinerSet(columns=subarray_columns(np.repeat(dft, l, axis=0), l),
+                       phase_grid=phases, alpha=cfg.alpha, m_rf=cfg.m_rf)
+
+
+def subarray_columns(steering, rf_chains: int) -> np.ndarray:
+    """Partially-connected columns, (N, L, 1, m_rf), from per-chain steering.
+
+    Row j of the (N*L, m_rf) ``steering`` is the column of chain j mod L in
+    combiner j // L.
+    """
+    steering = np.asarray(steering)
+    return steering.reshape(-1, rf_chains, 1, steering.shape[-1])
 
 
 def build_codebook(cfg: HadConfig) -> CombinerSet:
@@ -237,10 +252,28 @@ def sectors(cfg: HadConfig, spacing_ratio: float = 0.5) -> SectorSet:
     return SectorSet(intervals=tuple(intervals), m_rf=m_rf)
 
 
-def apply_combiner(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Analog combining stage: returns W^H X."""
+def apply_combiner(w, x) -> np.ndarray:
+    """Analog combining stage: returns W^H X.
+
+    ``w`` holds combiner columns (..., blocks, width, m_rf) and ``x`` antenna
+    blocks (..., M, K); leading axes broadcast, so a stack of N combiners
+    applied to N blocks gives (N, L, K).
+    """
     w = np.asarray(w)
     x = np.asarray(x)
-    if w.ndim != 2 or x.ndim != 2 or w.shape[0] != x.shape[0]:
+    if w.ndim < 3 or x.ndim < 2 or x.shape[-2] != w.shape[-3] * w.shape[-1]:
         raise ShapeError(f"combiner {w.shape} incompatible with block {x.shape}")
-    return w.conj().T @ x
+    blocks, width, m_rf = w.shape[-3:]
+    out = w.conj() @ x.reshape(x.shape[:-2] + (blocks, m_rf, x.shape[-1]))
+    return out.reshape(out.shape[:-3] + (blocks * width, x.shape[-1]))
+
+
+def apply_adjoint(w, q) -> np.ndarray:
+    """Adjoint of ``apply_combiner``: returns W Q, (..., L, K) -> (..., M, K)."""
+    w = np.asarray(w)
+    q = np.asarray(q)
+    if w.ndim < 3 or q.ndim < 2 or q.shape[-2] != w.shape[-3] * w.shape[-2]:
+        raise ShapeError(f"combiner {w.shape} incompatible with output {q.shape}")
+    blocks, width, m_rf = w.shape[-3:]
+    out = w.swapaxes(-1, -2) @ q.reshape(q.shape[:-2] + (blocks, width, q.shape[-1]))
+    return out.reshape(out.shape[:-3] + (blocks * m_rf, q.shape[-1]))

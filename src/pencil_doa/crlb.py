@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArrayConfig, SourceSet, steering_matrix
-from .combiners import CombinerSet
+from .combiners import CombinerSet, apply_combiner
 from .errors import ConfigError, SingularFim
 
 
@@ -27,13 +27,9 @@ class CrlbInputs:
         if self.noise_var <= 0.0:
             raise ConfigError("noise variance must be positive")
         if self.combiners is not None:
-            m, l = self.array.num_antennas, None
-            for w in self.combiners.matrices:
-                l = w.shape[1]
-                gram = w.conj().T @ w
-                if not np.allclose(gram, (m / l) * np.eye(l), atol=1e-8):
-                    raise ConfigError(
-                        "combiner set must satisfy W^H W = (M/L) I")
+            m, l = self.array.num_antennas, self.combiners.rf_chains
+            if not self.combiners.is_semi_unitary(m / l):
+                raise ConfigError("combiner set must satisfy W^H W = (M/L) I")
 
 
 @dataclass(frozen=True)
@@ -63,8 +59,9 @@ def steering_derivative(array: ArrayConfig, sources: SourceSet) -> np.ndarray:
 
 
 def _perp_projector(basis: np.ndarray) -> np.ndarray:
-    # SVD-based pseudo-inverse keeps this well defined for deficient bases
-    n = basis.shape[0]
+    # SVD-based pseudo-inverse keeps this well defined for deficient bases;
+    # a leading axis holds a stack of bases
+    n = basis.shape[-2]
     return np.eye(n) - basis @ np.linalg.pinv(basis)
 
 
@@ -106,8 +103,10 @@ def crlb_fd(inputs: CrlbInputs) -> CrlbMatrix:
 def crlb_spc(inputs: CrlbInputs) -> CrlbMatrix:
     """DoA bound for the single-phase partially-connected combiner set.
 
-    ``inputs.snapshots`` counts snapshots per combiner. Combiners that null a
-    source contribute nothing; their projector is formed through a
+    ``inputs.snapshots`` counts snapshots per combiner. Per combiner W, with
+    E = W^H A and G = W^H F, the output covariance is E Phi E^H + (M/L)
+    sigma^2 I and the derivative term is G^H P_perp(E) G. Combiners that null
+    a source contribute nothing; their projector is formed through a
     pseudo-inverse so the sum stays well defined.
     """
     if inputs.combiners is None:
@@ -116,16 +115,13 @@ def crlb_spc(inputs: CrlbInputs) -> CrlbMatrix:
     f = steering_derivative(inputs.array, inputs.sources)
     phi = inputs.sources.power_matrix
     m = inputs.array.num_antennas
-    l = inputs.combiners.matrices[0].shape[1]
-    r = inputs.sources.count
-    core = np.zeros((r, r))
-    cov = a @ phi @ a.conj().T
-    for w in inputs.combiners.matrices:
-        e = w.conj().T @ a
-        upsilon = w.conj().T @ cov @ w + (m / l) * inputs.noise_var * np.eye(l)
-        p_perp = _perp_projector(e)
-        left = f.conj().T @ w @ p_perp @ w.conj().T @ f
-        right = phi @ e.conj().T @ np.linalg.solve(upsilon, e) @ phi
-        core += np.real(left * right.T)
+    l = inputs.combiners.rf_chains
+    e = apply_combiner(inputs.combiners.columns, a)  # (N, L, R)
+    g = apply_combiner(inputs.combiners.columns, f)
+    e_h = e.conj().swapaxes(-1, -2)
+    upsilon = e @ phi @ e_h + (m / l) * inputs.noise_var * np.eye(l)
+    left = g.conj().swapaxes(-1, -2) @ _perp_projector(e) @ g
+    right = phi @ e_h @ np.linalg.solve(upsilon, e) @ phi
+    core = np.real(left * right.swapaxes(-1, -2)).sum(axis=0)  # in combiner order
     prefactor = inputs.noise_var * m / (2.0 * inputs.snapshots * l)
     return _invert_fim(core, prefactor)

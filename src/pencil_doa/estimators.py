@@ -22,9 +22,9 @@ from .combiners import (
     PC,
     CombinerSet,
     HadConfig,
+    apply_adjoint,
     apply_combiner,
-    block_diagonal,
-    build_pc_codebook,
+    subarray_columns,
 )
 from .errors import (
     AmbiguousGeometryError,
@@ -68,24 +68,17 @@ def estimate_fd_mpm(x: SnapshotBlock, cfg: PencilConfig,
 def pmpm_aggregate(q_blocks, codebook: CombinerSet) -> SnapshotBlock:
     """Sum the digitally re-projected combiner outputs into one M-by-K block.
 
-    The digital combiner matched to analog combiner W is
-    ``codebook.projector_scale * W``. With a signal repeated across segments,
-    the projector completeness of the codebook makes the noiseless aggregate
-    equal the full-array receive block.
+    ``q_blocks`` stacks the N combiner outputs, (N, L, K). The digital
+    combiner matched to analog combiner W is ``codebook.projector_scale * W``.
+    With a signal repeated across segments, the projector completeness of the
+    codebook makes the noiseless aggregate equal the full-array receive block.
     """
-    q_blocks = list(q_blocks)
-    if len(q_blocks) != len(codebook):
+    q_blocks = np.asarray(q_blocks)
+    if q_blocks.ndim != 3 or len(q_blocks) != len(codebook):
         raise ShapeError(
-            f"{len(q_blocks)} combiner outputs for a codebook of {len(codebook)}")
-    scale = codebook.projector_scale
-    total = None
-    for w, q in zip(codebook.matrices, q_blocks):
-        q = np.asarray(q)
-        if q.ndim != 2 or q.shape[0] != w.shape[1]:
-            raise ShapeError(f"combiner output {q.shape} has wrong channel count")
-        term = (scale * w) @ q
-        total = term if total is None else total + term
-    return total
+            f"combiner outputs {q_blocks.shape} for a codebook of {len(codebook)}")
+    terms = apply_adjoint(codebook.projector_scale * codebook.columns, q_blocks)
+    return terms.sum(axis=0)  # in combiner order
 
 
 def estimate_pmpm(segments, codebook: CombinerSet, cfg: PencilConfig,
@@ -96,12 +89,11 @@ def estimate_pmpm(segments, codebook: CombinerSet, cfg: PencilConfig,
     pencil on the virtual block. The caller guarantees the signal repeats
     across the segments; the signal itself is never needed.
     """
-    segments = list(segments)
+    segments = np.asarray(segments)
     if len(segments) != len(codebook):
         raise ShapeError(
             f"{len(segments)} segments for a codebook of {len(codebook)}")
-    q_blocks = [apply_combiner(w, x) for w, x in zip(codebook.matrices, segments)]
-    y = pmpm_aggregate(q_blocks, codebook)
+    y = pmpm_aggregate(apply_combiner(codebook.columns, segments), codebook)
     return estimate_fd_mpm(y, cfg, array)
 
 
@@ -152,18 +144,20 @@ def ambiguity_set(base_angles_deg, m_rf: int,
 class DisambiguationPlan:
     """Candidate-steered block-diagonal combiners for the SNR scan.
 
-    Slot j (1-based) of the flattened candidate list lives in combiner
-    g = ceil(j/L) at block ell = j - (g-1)L. When the candidate count is not
-    a multiple of L, the final combiner repeats the last candidate to fill.
+    ``columns`` has shape (G, L, 1, m_rf), in the layout of
+    ``CombinerSet.columns``. Slot j (1-based) of the flattened candidate list
+    lives in combiner g = ceil(j/L) at block ell = j - (g-1)L. When the
+    candidate count is not a multiple of L, the final combiner repeats the
+    last candidate to fill.
     """
 
-    combiners: tuple
+    columns: np.ndarray
     slot_phases: np.ndarray
     padded: bool
 
     @property
     def num_combiners(self) -> int:
-        return len(self.combiners)
+        return len(self.columns)
 
 
 def disambiguation_combiners(had: HadConfig, num_sources: int) -> int:
@@ -181,46 +175,37 @@ def build_disambiguation(amb: AmbiguitySet, cfg: HadConfig) -> DisambiguationPla
     padded = flat.size % l != 0
     slots = np.concatenate([flat, np.full(g_total * l - flat.size, flat[-1])])
     steered = np.exp(1j * np.arange(cfg.m_rf) * slots[:, None])
-    combiners = tuple(block_diagonal(steered[g * l:(g + 1) * l])
-                      for g in range(g_total))
-    return DisambiguationPlan(combiners=combiners, slot_phases=slots,
-                              padded=padded)
+    return DisambiguationPlan(columns=subarray_columns(steered, l),
+                              slot_phases=slots, padded=padded)
 
 
 def resolve_ambiguity(plan: DisambiguationPlan, segments,
                       amb: AmbiguitySet) -> np.ndarray:
     """Pick each source's candidate by the highest per-chain output SNR.
 
-    The metric for candidate slot (g, ell) is the mean output power of RF
-    chain ell under combiner g, normalized by the beamforming gain, minus the
-    unit noise floor. Ties break toward the candidate of smaller phase
-    magnitude. Returns one angle per source, in source order; the arcsine
-    argument is clamped to [-1, 1], since a candidate may sit up to 1e-9 past
-    pi and, below half-wavelength spacing, outside the visible region.
+    ``segments`` stacks one M-by-K2 block per combiner, (G, M, K2). The
+    metric for candidate slot (g, ell) is the mean output power of RF chain
+    ell under combiner g, normalized by the beamforming gain, minus the unit
+    noise floor. Ties break toward the candidate of smaller phase magnitude.
+    Returns one angle per source, in source order; the arcsine argument is
+    clamped to [-1, 1], since a candidate may sit up to 1e-9 past pi and,
+    below half-wavelength spacing, outside the visible region.
     """
-    segments = list(segments)
+    segments = np.asarray(segments)
     if len(segments) != plan.num_combiners:
         raise ShapeError(
             f"{len(segments)} segments for {plan.num_combiners} combiners")
-    outputs = [apply_combiner(w, np.asarray(x))
-               for w, x in zip(plan.combiners, segments)]
-    l = plan.combiners[0].shape[1]
     m_rf = amb.m_rf
+    out = apply_combiner(plan.columns, segments)
+    slots = (np.mean(np.abs(out) ** 2, axis=-1) / m_rf - 1.0).ravel()
     angles = np.empty(amb.num_sources)
     for r, cands in enumerate(amb.per_source):
-        metrics = np.empty(m_rf)
-        for i in range(m_rf):
-            j = r * m_rf + i  # 0-based flat slot
-            g, ell = divmod(j, l)
-            row = outputs[g][ell]
-            metrics[i] = np.mean(np.abs(row) ** 2) / m_rf - 1.0
+        metrics = slots[r * m_rf:(r + 1) * m_rf]
         if np.all(metrics <= 0.0):
             warnings.warn(f"all candidates for source {r} at or below the "
                           "noise floor", LowSnrWarning, stacklevel=2)
-        best = metrics.max()
-        ties = np.nonzero(metrics == best)[0]
-        pick = ties[np.argmin(np.abs(cands[ties]))]
-        mu_hat = cands[pick]
+        ties = np.nonzero(metrics == metrics.max())[0]
+        mu_hat = cands[ties[np.argmin(np.abs(cands[ties]))]]
         sine = mu_hat / (2.0 * np.pi * amb.spacing_ratio)
         angles[r] = math.degrees(math.asin(min(1.0, max(-1.0, sine))))
     return angles
@@ -228,7 +213,7 @@ def resolve_ambiguity(plan: DisambiguationPlan, segments,
 
 def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
                      had: HadConfig, cfg: PencilConfig, array: ArrayConfig,
-                     codebook: CombinerSet | None = None) -> np.ndarray:
+                     codebook: CombinerSet) -> np.ndarray:
     """Two-stage DoA estimation for a partially-connected receiver.
 
     Stage 1 runs the single-phase codebook over the segments and solves the
@@ -245,17 +230,15 @@ def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
         raise ConfigError("single-phase estimation requires the PC architecture")
     if cfg.channel_count != had.rf_chains:
         raise ConfigError("pencil channel count must equal the RF-chain count")
-    codebook = codebook if codebook is not None else build_pc_codebook(had)
-    segments = list(segments)
+    segments = np.asarray(segments)
     if len(segments) != len(codebook):
         raise ShapeError(
             f"{len(segments)} segments for a codebook of {len(codebook)}")
 
-    stage1 = np.concatenate([apply_combiner(w, x)
-                             for w, x in zip(codebook.matrices, segments)], axis=1)
+    stage1 = apply_combiner(codebook.columns, segments)  # (N, L, K)
     try:
-        base = _pencil_pipeline(stage1.T, cfg, array.spacing_ratio,
-                                dilation=had.m_rf)
+        base = _pencil_pipeline(stage1.swapaxes(1, 2).reshape(-1, had.rf_chains),
+                                cfg, array.spacing_ratio, dilation=had.m_rf)
     except RankError as exc:
         raise AmbiguousGeometryError(
             "pencil produced fewer distinct modes than sources; two sources "
@@ -270,6 +253,6 @@ def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
         raise ConfigError(
             f"disambiguation budget {block.shape[1]} below combiner count {g_total}")
     k2 = block.shape[1] // g_total
+    chunks = block[:, :g_total * k2].reshape(had.num_antennas, g_total, k2)
     plan = build_disambiguation(amb, had)
-    chunks = [block[:, g * k2:(g + 1) * k2] for g in range(g_total)]
-    return np.sort(resolve_ambiguity(plan, chunks, amb))
+    return np.sort(resolve_ambiguity(plan, chunks.swapaxes(0, 1), amb))

@@ -211,7 +211,7 @@ class _ScenarioRunner:
             self.k = point.ktilde // self.had.n_combiners
             xi_default = cfg.m // 2
             channels = cfg.m
-        elif scenario == "spc_mpm":
+        elif scenario in ("spc_mpm", "crlb_spc"):
             k1, self.k2_total = _split_budget(cfg, point.ktilde)
             self.k = k1 // self.had.n_combiners
             xi_default = cfg.l // 2
@@ -271,7 +271,7 @@ class _ScenarioRunner:
                                   point.noiseless)
             block2 = receive_fd(steer, sig2, noise2)
             estimates = estimate_spc_mpm(segments, block2, self.had, pcfg,
-                                         self.array, codebook=self.codebook)
+                                         self.array, self.codebook)
         return paired_squared_errors(estimates, angles)
 
     def root_crlb(self) -> float | None:
@@ -281,23 +281,16 @@ class _ScenarioRunner:
         sources = SourceSet(point.angles, point.powers)
         scenario = self.cfg.scenario
         try:
-            if scenario in ("fd_mpm", "crlb_fd"):
-                bound = crlb_fd(CrlbInputs(self.array, sources, point.ktilde))
-            elif scenario in ("pmpm_fc", "pmpm_pc"):
-                bound = crlb_fd(CrlbInputs(self.array, sources, self.k))
-            else:
-                k = self.k if scenario == "spc_mpm" else self._spc_bound_k()
-                if k < 1:
+            if scenario in ("spc_mpm", "crlb_spc"):
+                if self.k < 1:
                     return None
-                bound = crlb_spc(CrlbInputs(self.array, sources, k,
+                bound = crlb_spc(CrlbInputs(self.array, sources, self.k,
                                             combiners=self.codebook))
+            else:
+                bound = crlb_fd(CrlbInputs(self.array, sources, self.k))
             return bound.pooled_root_deg
         except ESTIMATOR_FAILURES:
             return None
-
-    def _spc_bound_k(self) -> int:
-        k1, _ = _split_budget(self.cfg, self.point.ktilde)
-        return k1 // self.had.n_combiners
 
 
 def worker_count() -> int:

@@ -69,11 +69,9 @@ class PencilPair:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Pencil eigenvalues plus the singular values bracketing the rank cut."""
+    """The R largest-modulus pencil eigenvalues."""
 
     eigenvalues: np.ndarray
-    sigma_retained: float
-    sigma_discarded: float
 
 
 def hankel(x: np.ndarray, xi: int) -> np.ndarray:
@@ -163,11 +161,7 @@ def pencil_eigenvalues(pair: PencilPair, num_sources: int) -> EigenResult:
     reduced = (uk.conj().T @ pair.right @ vk) / sk[:, None]
     values = np.linalg.eigvals(reduced)
     order = np.argsort(-np.abs(values))[:r]
-    sigma_retained = float(sk[-1])
-    sigma_discarded = float(s[rank]) if rank < s.size else 0.0
-    return EigenResult(eigenvalues=values[order],
-                       sigma_retained=sigma_retained,
-                       sigma_discarded=sigma_discarded)
+    return EigenResult(eigenvalues=values[order])
 
 
 def eigen_to_angles(eig: EigenResult, spacing_ratio: float,

@@ -10,27 +10,42 @@ estimators once did, ending in the package's unchanged ``eigen_to_angles``.
 ``build_pc_codebook`` and ``build_disambiguation`` (with ``CombinerSet``,
 ``DisambiguationPlan`` and ``_steered_block``) are the seed combiner builders,
 copied verbatim: dense matrices assembled with scipy's ``block_diag``.
+``build_fc_codebook`` is the seed dense FC builder, copied verbatim.
 
-Do not edit them to follow the package.
+``apply_combiner``, ``pmpm_aggregate``, ``resolve_ambiguity``, ``CrlbInputs``
+and ``crlb_spc`` (with ``_perp_projector`` and ``_invert_fim``) are the dense
+kernels that the block-structured combiners replaced, copied verbatim from
+the package as it was before that change: W^H X as a dense matmul, one
+re-projection per combiner, the per-slot ``divmod`` scan, and the bound
+through the M-by-M source covariance.
+
+Do not edit them to follow the package. ``dense`` is the one helper written
+for the tests: it expands the package's block-structured combiner columns
+into the dense matrices these kernels take.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import block_diag
 
-from pencil_doa.combiners import PC, HadConfig, dft_column, dft_phase
+from pencil_doa.arrays import ArrayConfig, SnapshotBlock, SourceSet, steering_matrix
+from pencil_doa.combiners import FC, PC, HadConfig, dft_column, dft_phase
+from pencil_doa.crlb import CrlbMatrix, steering_derivative
 from pencil_doa.errors import (
     ConfigError,
     EmptyInput,
+    LowSnrWarning,
     NumericalError,
     PencilParamError,
     RankError,
     ShapeError,
+    SingularFim,
 )
 from pencil_doa.estimators import AmbiguitySet
 from pencil_doa.pencil import eigen_to_angles
@@ -248,3 +263,179 @@ def build_disambiguation(amb: AmbiguitySet, cfg: HadConfig,
     )
     return DisambiguationPlan(combiners=combiners, slot_phases=slots,
                               snapshots_per_combiner=snapshots, padded=padded)
+
+
+def build_fc_codebook(cfg: HadConfig) -> CombinerSet:
+    """Fully-connected codebook: N matrices of L consecutive DFT columns.
+
+    Each matrix is scaled by 1/sqrt(L) for power splitting; the union of all
+    columns is the full M-point DFT matrix, so the set resolves the identity.
+    """
+    if cfg.architecture != FC:
+        raise ConfigError("config does not describe a fully-connected receiver")
+    m = cfg.num_antennas
+    phases = np.array([dft_phase(c, m) for c in range(1, m + 1)])
+    dft = np.exp(1j * np.outer(np.arange(m), phases))
+    l = cfg.rf_chains
+    matrices = tuple(
+        dft[:, n * l:(n + 1) * l] / math.sqrt(l) for n in range(cfg.n_combiners)
+    )
+    return CombinerSet(matrices=matrices, phase_grid=phases,
+                       architecture=FC, alpha=cfg.alpha, m_rf=cfg.m_rf)
+
+
+def apply_combiner(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Analog combining stage: returns W^H X."""
+    w = np.asarray(w)
+    x = np.asarray(x)
+    if w.ndim != 2 or x.ndim != 2 or w.shape[0] != x.shape[0]:
+        raise ShapeError(f"combiner {w.shape} incompatible with block {x.shape}")
+    return w.conj().T @ x
+
+
+def pmpm_aggregate(q_blocks, codebook: CombinerSet) -> SnapshotBlock:
+    """Sum the digitally re-projected combiner outputs into one M-by-K block.
+
+    The digital combiner matched to analog combiner W is
+    ``codebook.projector_scale * W``. With a signal repeated across segments,
+    the projector completeness of the codebook makes the noiseless aggregate
+    equal the full-array receive block.
+    """
+    q_blocks = list(q_blocks)
+    if len(q_blocks) != len(codebook):
+        raise ShapeError(
+            f"{len(q_blocks)} combiner outputs for a codebook of {len(codebook)}")
+    scale = codebook.projector_scale
+    total = None
+    for w, q in zip(codebook.matrices, q_blocks):
+        q = np.asarray(q)
+        if q.ndim != 2 or q.shape[0] != w.shape[1]:
+            raise ShapeError(f"combiner output {q.shape} has wrong channel count")
+        term = (scale * w) @ q
+        total = term if total is None else total + term
+    return total
+
+
+def resolve_ambiguity(plan: DisambiguationPlan, segments,
+                      amb: AmbiguitySet) -> np.ndarray:
+    """Pick each source's candidate by the highest per-chain output SNR.
+
+    The metric for candidate slot (g, ell) is the mean output power of RF
+    chain ell under combiner g, normalized by the beamforming gain, minus the
+    unit noise floor. Ties break toward the candidate of smaller phase
+    magnitude. Returns one angle per source, in source order; the arcsine
+    argument is clamped to [-1, 1], since a candidate may sit up to 1e-9 past
+    pi and, below half-wavelength spacing, outside the visible region.
+    """
+    segments = list(segments)
+    if len(segments) != plan.num_combiners:
+        raise ShapeError(
+            f"{len(segments)} segments for {plan.num_combiners} combiners")
+    outputs = [apply_combiner(w, np.asarray(x))
+               for w, x in zip(plan.combiners, segments)]
+    l = plan.combiners[0].shape[1]
+    m_rf = amb.m_rf
+    angles = np.empty(amb.num_sources)
+    for r, cands in enumerate(amb.per_source):
+        metrics = np.empty(m_rf)
+        for i in range(m_rf):
+            j = r * m_rf + i  # 0-based flat slot
+            g, ell = divmod(j, l)
+            row = outputs[g][ell]
+            metrics[i] = np.mean(np.abs(row) ** 2) / m_rf - 1.0
+        if np.all(metrics <= 0.0):
+            warnings.warn(f"all candidates for source {r} at or below the "
+                          "noise floor", LowSnrWarning, stacklevel=2)
+        best = metrics.max()
+        ties = np.nonzero(metrics == best)[0]
+        pick = ties[np.argmin(np.abs(cands[ties]))]
+        mu_hat = cands[pick]
+        sine = mu_hat / (2.0 * np.pi * amb.spacing_ratio)
+        angles[r] = math.degrees(math.asin(min(1.0, max(-1.0, sine))))
+    return angles
+
+
+@dataclass(frozen=True)
+class CrlbInputs:
+    """Everything the bound formulas need; combiners present for the SPC case."""
+
+    array: ArrayConfig
+    sources: SourceSet
+    snapshots: int
+    noise_var: float = 1.0
+    combiners: CombinerSet | None = None
+
+    def __post_init__(self):
+        if self.snapshots < 1:
+            raise ConfigError("snapshots must be positive")
+        if self.noise_var <= 0.0:
+            raise ConfigError("noise variance must be positive")
+        if self.combiners is not None:
+            m, l = self.array.num_antennas, None
+            for w in self.combiners.matrices:
+                l = w.shape[1]
+                gram = w.conj().T @ w
+                if not np.allclose(gram, (m / l) * np.eye(l), atol=1e-8):
+                    raise ConfigError(
+                        "combiner set must satisfy W^H W = (M/L) I")
+
+
+def _perp_projector(basis: np.ndarray) -> np.ndarray:
+    # SVD-based pseudo-inverse keeps this well defined for deficient bases
+    n = basis.shape[0]
+    return np.eye(n) - basis @ np.linalg.pinv(basis)
+
+
+def _invert_fim(core: np.ndarray, prefactor: float) -> CrlbMatrix:
+    if not np.all(np.isfinite(core)):
+        raise SingularFim("Fisher information core is not finite")
+    try:
+        crlb = prefactor * np.linalg.inv(core)
+    except np.linalg.LinAlgError as exc:
+        raise SingularFim("Fisher information core is singular") from exc
+    crlb = 0.5 * (crlb + crlb.T)
+    if np.any(np.linalg.eigvalsh(crlb) <= 0.0):
+        raise SingularFim("bound matrix is not positive definite")
+    return CrlbMatrix(matrix=crlb)
+
+
+def crlb_spc(inputs: CrlbInputs) -> CrlbMatrix:
+    """DoA bound for the single-phase partially-connected combiner set.
+
+    ``inputs.snapshots`` counts snapshots per combiner. Combiners that null a
+    source contribute nothing; their projector is formed through a
+    pseudo-inverse so the sum stays well defined.
+    """
+    if inputs.combiners is None:
+        raise ConfigError("combined-receiver bound requires a combiner set")
+    a = steering_matrix(inputs.array, inputs.sources).entries
+    f = steering_derivative(inputs.array, inputs.sources)
+    phi = inputs.sources.power_matrix
+    m = inputs.array.num_antennas
+    l = inputs.combiners.matrices[0].shape[1]
+    r = inputs.sources.count
+    core = np.zeros((r, r))
+    cov = a @ phi @ a.conj().T
+    for w in inputs.combiners.matrices:
+        e = w.conj().T @ a
+        upsilon = w.conj().T @ cov @ w + (m / l) * inputs.noise_var * np.eye(l)
+        p_perp = _perp_projector(e)
+        left = f.conj().T @ w @ p_perp @ w.conj().T @ f
+        right = phi @ e.conj().T @ np.linalg.solve(upsilon, e) @ phi
+        core += np.real(left * right.T)
+    prefactor = inputs.noise_var * m / (2.0 * inputs.snapshots * l)
+    return _invert_fim(core, prefactor)
+
+
+def dense(columns) -> np.ndarray:
+    """Dense matrices W[b*m_rf + m, b*width + w] = columns[..., b, w, m].
+
+    ``columns`` is (..., blocks, width, m_rf); the result is (..., M, L) with
+    zeros off the diagonal blocks.
+    """
+    columns = np.asarray(columns)
+    *lead, blocks, width, m_rf = columns.shape
+    out = np.zeros((*lead, blocks, m_rf, blocks, width), dtype=columns.dtype)
+    for b in range(blocks):
+        out[..., b, :, b, :] = np.swapaxes(columns[..., b, :, :], -1, -2)
+    return out.reshape(*lead, blocks * m_rf, blocks * width)

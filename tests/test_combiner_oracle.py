@@ -1,9 +1,12 @@
-"""The numpy combiner builders against the seed scipy builders they replaced.
+"""The block-structured combiner kernels against the dense seed kernels.
 
-``reference_kernels`` holds the seed ``build_pc_codebook`` and
-``build_disambiguation`` verbatim, with dense matrices from scipy's
-``block_diag``. The package must build the same matrices bit for bit, pick
-the same candidates from them, and run without importing scipy at all.
+``reference_kernels`` holds the seed builders (dense matrices, scipy's
+``block_diag`` for PC) and the dense ``apply_combiner``, ``pmpm_aggregate``,
+``resolve_ambiguity`` and ``crlb_spc`` that the (blocks, width, m_rf) column
+layout replaced. Expanded with ``dense``, the package's columns must equal
+the seed matrices bit for bit; combining and aggregation must match within
+1e-12 relative, the bound within 1e-10 relative, and the disambiguation scan
+must pick the same candidates. The package must also run without scipy.
 """
 
 import os
@@ -14,21 +17,29 @@ from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
 from pencil_doa import (
     ArrayConfig,
+    CrlbInputs,
     HadConfig,
     SourceSet,
     ambiguity_set,
+    apply_combiner,
+    build_codebook,
     build_disambiguation,
+    build_fc_codebook,
     build_pc_codebook,
+    crlb_spc,
+    phase_from_angle,
+    pmpm_aggregate,
     resolve_ambiguity,
     steering_matrix,
 )
 from pencil_doa.errors import LowSnrWarning
+from reference_kernels import dense
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -46,11 +57,67 @@ def pc_geometries(draw):
     return HadConfig("pc", l * m_rf, l), tuple(angles), snr_db, k2, seed
 
 
+@st.composite
+def had_geometries(draw):
+    """FC or PC receivers, 1 to 4 sources, K from 1 snapshot up."""
+    arch = draw(st.sampled_from(["fc", "pc"]))
+    l = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    n = draw(st.sampled_from([2, 3, 4, 8, 16]))
+    r = draw(st.integers(1, 4))
+    angles = draw(st.lists(st.floats(-85.0, 85.0), min_size=r, max_size=r,
+                           unique=True))
+    snr_db = draw(st.sampled_from([-10.0, 0.0, 10.0, 30.0]))
+    k = draw(st.sampled_from([1, 2, 7, 32]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return HadConfig(arch, l * n, l), tuple(angles), snr_db, k, seed
+
+
+@st.composite
+def bound_geometries(draw):
+    """PC receivers with R < L sources, 1 to 4 of them, for the bound."""
+    m_rf = draw(st.sampled_from([2, 3, 4, 8, 16]))
+    l = draw(st.sampled_from([2, 3, 4, 8]))
+    r = draw(st.integers(1, min(4, l - 1)))
+    angles = draw(st.lists(st.floats(-85.0, 85.0), min_size=r, max_size=r,
+                           unique=True))
+    power_db = draw(st.sampled_from([-10.0, 0.0, 10.0, 30.0]))
+    snapshots = draw(st.sampled_from([1, 7, 64]))
+    return HadConfig("pc", l * m_rf, l), tuple(angles), power_db, snapshots
+
+
+def noisy_blocks(had, angles, snr_db, count, k, seed):
+    """``count`` M-by-k blocks from the given sources plus unit noise."""
+    gen = np.random.default_rng(seed)
+    r, m = len(angles), had.num_antennas
+    power = 10.0 ** (snr_db / 10.0)
+    steer = steering_matrix(ArrayConfig(m, 0.5),
+                            SourceSet(angles, (power,) * r)).entries
+    blocks = []
+    for _ in range(count):
+        s = np.sqrt(power / 2) * (gen.standard_normal((r, k))
+                                  + 1j * gen.standard_normal((r, k)))
+        noise = np.sqrt(0.5) * (gen.standard_normal((m, k))
+                                + 1j * gen.standard_normal((m, k)))
+        blocks.append(steer @ s + noise)
+    return blocks
+
+
+def oracle_codebook(had):
+    if had.architecture == "fc":
+        return ref.build_fc_codebook(had)
+    return ref.build_pc_codebook(had)
+
+
 def assert_same_matrices(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         npt.assert_array_equal(g, w)
+
+
+def assert_relative(got, want, rel):
+    scale = float(np.max(np.abs(want)))
+    npt.assert_allclose(got, want, rtol=0, atol=rel * scale)
 
 
 class TestCombinersMatchSeedBuilders:
@@ -59,34 +126,73 @@ class TestCombinersMatchSeedBuilders:
     def test_codebook_disambiguation_and_picks_match_oracle(self, geometry):
         had, angles, snr_db, k2, seed = geometry
         book, oracle_book = build_pc_codebook(had), ref.build_pc_codebook(had)
-        assert_same_matrices(book.matrices, oracle_book.matrices)
+        assert_same_matrices(dense(book.columns), oracle_book.matrices)
         npt.assert_array_equal(book.phase_grid, oracle_book.phase_grid)
         assert book.projector_scale == oracle_book.projector_scale
 
         amb = ambiguity_set(angles, had.m_rf, 0.5)
         plan = build_disambiguation(amb, had)
         oracle_plan = ref.build_disambiguation(amb, had, k2)
-        assert_same_matrices(plan.combiners, oracle_plan.combiners)
+        assert_same_matrices(dense(plan.columns), oracle_plan.combiners)
         npt.assert_array_equal(plan.slot_phases, oracle_plan.slot_phases)
         assert plan.padded == oracle_plan.padded
 
-        gen = np.random.default_rng(seed)
-        r, m = len(angles), had.num_antennas
-        power = 10.0 ** (snr_db / 10.0)
-        steer = steering_matrix(ArrayConfig(m, 0.5),
-                                SourceSet(angles, (power,) * r)).entries
-        chunks = []
-        for _ in range(plan.num_combiners):
-            s = np.sqrt(power / 2) * (gen.standard_normal((r, k2))
-                                      + 1j * gen.standard_normal((r, k2)))
-            noise = np.sqrt(0.5) * (gen.standard_normal((m, k2))
-                                    + 1j * gen.standard_normal((m, k2)))
-            chunks.append(steer @ s + noise)
+        chunks = noisy_blocks(had, angles, snr_db, plan.num_combiners, k2, seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LowSnrWarning)
             picked = resolve_ambiguity(plan, chunks, amb)
-            oracle_picked = resolve_ambiguity(oracle_plan, chunks, amb)
+            oracle_picked = ref.resolve_ambiguity(oracle_plan, chunks, amb)
         npt.assert_array_equal(picked, oracle_picked)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 4, 8]), st.sampled_from([2, 3, 4, 8, 16]))
+    def test_fc_codebook_matches_oracle(self, l, n):
+        had = HadConfig("fc", l * n, l)
+        book, oracle_book = build_fc_codebook(had), ref.build_fc_codebook(had)
+        assert_same_matrices(dense(book.columns), oracle_book.matrices)
+        npt.assert_array_equal(book.phase_grid, oracle_book.phase_grid)
+        assert book.projector_scale == oracle_book.projector_scale
+
+
+class TestKernelsMatchDenseOracles:
+    @settings(max_examples=80, deadline=None)
+    @given(had_geometries())
+    def test_combining_and_aggregation(self, geometry):
+        had, angles, snr_db, k, seed = geometry
+        book, oracle_book = build_codebook(had), oracle_codebook(had)
+        segments = noisy_blocks(had, angles, snr_db, len(book), k, seed)
+        q = apply_combiner(book.columns, np.asarray(segments))
+        oracle_q = [ref.apply_combiner(w, x)
+                    for w, x in zip(oracle_book.matrices, segments)]
+        assert_relative(q, np.asarray(oracle_q), 1e-12)
+        assert_relative(pmpm_aggregate(q, book),
+                        ref.pmpm_aggregate(oracle_q, oracle_book), 1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(bound_geometries())
+    def test_crlb_spc(self, geometry):
+        had, angles, power_db, snapshots = geometry
+        # Compared where the bound is well conditioned: sources that
+        # the L-element virtual array separates by at least half its
+        # beamwidth, pi/L, in folded phase, each at least 1e-3 rad of folded
+        # phase off the DFT grid. Closer pairs nearly share a virtual
+        # steering vector (estimate_spc_mpm raises AmbiguousGeometryError).
+        # A source within delta of the grid sits near a null of every other
+        # combiner; E = W^H A then has relative rounding error of about
+        # 1e-16/delta in both kernels.
+        r, l, m_rf = len(angles), had.rf_chains, had.m_rf
+        folded = np.exp(1j * m_rf * phase_from_angle(np.array(angles), 0.5))
+        gaps = [abs(np.angle(folded[i] / folded[j]))
+                for i in range(r) for j in range(i)]
+        assume(min(gaps, default=np.pi) >= np.pi / l)
+        assume(np.min(np.abs(np.angle(folded))) >= 1e-3)
+        array = ArrayConfig(had.num_antennas, 0.5)
+        sources = SourceSet(angles, (10.0 ** (power_db / 10.0),) * r)
+        got = crlb_spc(CrlbInputs(array, sources, snapshots,
+                                  combiners=build_pc_codebook(had))).matrix
+        want = ref.crlb_spc(ref.CrlbInputs(
+            array, sources, snapshots, combiners=ref.build_pc_codebook(had))).matrix
+        assert_relative(got, want, 1e-10)
 
 
 def test_package_runs_without_scipy():

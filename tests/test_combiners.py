@@ -17,7 +17,9 @@ from pencil_doa import (
     gain,
     sectors,
 )
+from pencil_doa.combiners import apply_adjoint
 from pencil_doa.errors import ConfigError, ShapeError, UnsupportedGeometry
+from reference_kernels import dense
 
 
 def geometric_sum(delta, m_rf):
@@ -65,24 +67,26 @@ class TestFcCodebook:
     def test_explicit_four_point_dft(self):
         cb = build_fc_codebook(HadConfig("fc", 4, 2))
         assert len(cb) == 2
+        assert cb.columns.shape == (2, 1, 2, 4)
+        matrices = dense(cb.columns)
         # column c of combiner n is the ((n-1)L + c)-th DFT column over sqrt(L)
         for n in range(2):
             for c in range(2):
                 k = 2 * n + c
                 expected = np.exp(2j * np.pi * k * np.arange(4) / 4) / math.sqrt(2)
-                npt.assert_allclose(cb.matrices[n][:, c], expected, atol=1e-12)
-        gram = cb.matrices[0].conj().T @ cb.matrices[0]
+                npt.assert_allclose(matrices[n][:, c], expected, atol=1e-12)
+        gram = matrices[0].conj().T @ matrices[0]
         npt.assert_allclose(gram, 2.0 * np.eye(2), atol=1e-12)
 
     def test_completeness_identity(self):
         for m, l in ((4, 2), (16, 4), (32, 8)):
             cb = build_fc_codebook(HadConfig("fc", m, l))
-            total = sum(w @ w.conj().T for w in cb.matrices) * cb.projector_scale
+            total = sum(w @ w.conj().T for w in dense(cb.columns)) * cb.projector_scale
             assert np.linalg.norm(total - np.eye(m)) < 1e-10
 
     def test_entry_modulus(self):
         cb = build_fc_codebook(HadConfig("fc", 6, 3))
-        for w in cb.matrices:
+        for w in dense(cb.columns):
             npt.assert_allclose(np.abs(w), 1 / math.sqrt(3), atol=1e-12)
 
     def test_wrong_architecture(self):
@@ -93,7 +97,8 @@ class TestFcCodebook:
 class TestPcCodebook:
     def test_first_combiner_all_ones_blocks(self):
         cb = build_pc_codebook(HadConfig("pc", 8, 2))
-        w1 = cb.matrices[0]
+        assert cb.columns.shape == (4, 2, 1, 4)
+        w1 = dense(cb.columns[0])
         assert w1.shape == (8, 2)
         npt.assert_allclose(w1[:4, 0], np.ones(4))
         npt.assert_allclose(w1[4:, 1], np.ones(4))
@@ -101,16 +106,22 @@ class TestPcCodebook:
 
     def test_second_combiner_quarter_turns(self):
         cb = build_pc_codebook(HadConfig("pc", 8, 2))
-        npt.assert_allclose(cb.matrices[1][:4, 0], [1.0, 1.0j, -1.0, -1.0j],
+        npt.assert_allclose(dense(cb.columns[1])[:4, 0], [1.0, 1.0j, -1.0, -1.0j],
                             atol=1e-12)
 
     def test_orthogonality_and_completeness(self):
         cfg = HadConfig("pc", 8, 2)
         cb = build_pc_codebook(cfg)
-        for w in cb.matrices:
+        for w in dense(cb.columns):
             npt.assert_allclose(w.conj().T @ w, 4.0 * np.eye(2), atol=1e-10)
-        total = sum(w @ w.conj().T for w in cb.matrices) / 4.0
+        total = sum(w @ w.conj().T for w in dense(cb.columns)) / 4.0
         assert np.linalg.norm(total - np.eye(8)) < 1e-10
+
+    def test_semi_unitary_check(self):
+        cb = build_pc_codebook(HadConfig("pc", 8, 2))
+        assert cb.rf_chains == 2
+        assert cb.is_semi_unitary(4.0)
+        assert not cb.is_semi_unitary(2.0)
 
 
 class TestGain:
@@ -198,26 +209,52 @@ class TestApplyCombiner:
         cb = build_pc_codebook(HadConfig("pc", 8, 2))
         c = 0.7 - 0.2j
         x = np.full((8, 3), c)
-        out = apply_combiner(cb.matrices[0], x)
+        out = apply_combiner(cb.columns[0], x)
         npt.assert_allclose(out, 4 * c, atol=1e-12)
 
     def test_zero_block(self):
         cb = build_pc_codebook(HadConfig("pc", 8, 2))
-        out = apply_combiner(cb.matrices[1], np.zeros((8, 2)))
+        out = apply_combiner(cb.columns[1], np.zeros((8, 2)))
         npt.assert_array_equal(out, 0.0)
 
     def test_matches_triple_loop(self):
         gen = np.random.default_rng(3)
-        w = gen.standard_normal((8, 2)) + 1j * gen.standard_normal((8, 2))
-        x = gen.standard_normal((8, 3)) + 1j * gen.standard_normal((8, 3))
-        out = apply_combiner(w, x)
-        for ell in range(2):
-            for k in range(3):
-                acc = 0.0 + 0.0j
-                for m in range(8):
-                    acc += np.conj(w[m, ell]) * x[m, k]
-                assert abs(out[ell, k] - acc) < 1e-12
+        # (blocks, width, m_rf) layouts of an 8-antenna combiner
+        for layout in ((1, 2, 8), (2, 1, 4), (2, 2, 4)):
+            cols = gen.standard_normal(layout) + 1j * gen.standard_normal(layout)
+            w = dense(cols)
+            x = gen.standard_normal((8, 3)) + 1j * gen.standard_normal((8, 3))
+            out = apply_combiner(cols, x)
+            assert out.shape == (w.shape[1], 3)
+            for ell in range(w.shape[1]):
+                for k in range(3):
+                    acc = 0.0 + 0.0j
+                    for m in range(8):
+                        acc += np.conj(w[m, ell]) * x[m, k]
+                    assert abs(out[ell, k] - acc) < 1e-12
+
+    def test_stack_broadcasts_over_combiners(self):
+        gen = np.random.default_rng(4)
+        cb = build_pc_codebook(HadConfig("pc", 12, 3))
+        x = gen.standard_normal((len(cb), 12, 5))
+        out = apply_combiner(cb.columns, x)
+        assert out.shape == (len(cb), 3, 5)
+        for n, w in enumerate(dense(cb.columns)):
+            npt.assert_allclose(out[n], w.conj().T @ x[n], rtol=0, atol=1e-12)
+
+    def test_adjoint_is_dense_product(self):
+        gen = np.random.default_rng(5)
+        for cb in (build_fc_codebook(HadConfig("fc", 8, 2)),
+                   build_pc_codebook(HadConfig("pc", 8, 2))):
+            q = gen.standard_normal((len(cb), 2, 3)) + 1j
+            out = apply_adjoint(cb.columns, q)
+            for n, w in enumerate(dense(cb.columns)):
+                npt.assert_allclose(out[n], w @ q[n], rtol=0, atol=1e-12)
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            apply_combiner(np.zeros((4, 2)), np.zeros((5, 3)))
+            apply_combiner(np.zeros((1, 2, 4)), np.zeros((5, 3)))
+        with pytest.raises(ShapeError):
+            apply_combiner(np.zeros((4, 2)), np.zeros((4, 3)))
+        with pytest.raises(ShapeError):
+            apply_adjoint(np.zeros((2, 1, 4)), np.zeros((3, 3)))

@@ -33,6 +33,7 @@ from pencil_doa.errors import (
     ESTIMATOR_FAILURES,
     ShapeError,
 )
+from reference_kernels import dense
 
 
 def geometric_gain(delta, m_rf):
@@ -99,14 +100,14 @@ class TestPmpmAggregate:
         cb = build_fc_codebook(had) if arch == "fc" else build_pc_codebook(had)
         s = generate_signals(src, k, 1, False, RngSpec(2))[0]
         segments = [sm.entries @ s for _ in range(had.n_combiners)]
-        q = [apply_combiner(w, x) for w, x in zip(cb.matrices, segments)]
+        q = apply_combiner(cb.columns, np.asarray(segments))
         y = pmpm_aggregate(q, cb)
         assert np.linalg.norm(y - sm.entries @ s) < 1e-10
 
     def test_digital_combiner_inverts_analog(self):
         had = HadConfig("fc", 16, 4)
         cb = build_fc_codebook(had)
-        for w_a in cb.matrices:
+        for w_a in dense(cb.columns):
             w_d = cb.projector_scale * w_a
             npt.assert_allclose(w_d.conj().T @ w_a, np.eye(4), atol=1e-10)
 
@@ -120,7 +121,7 @@ class TestPmpmAggregate:
         while count < 10_000:
             segs = [generate_noise(m, k, RngSpec(6).child(t, n))
                     for n in range(had.n_combiners)]
-            q = [apply_combiner(w, z) for w, z in zip(cb.matrices, segs)]
+            q = apply_combiner(cb.columns, np.asarray(segs))
             y = pmpm_aggregate(q, cb)
             total += float(np.sum(np.abs(y) ** 2))
             count += y.size
@@ -237,7 +238,8 @@ class TestBuildDisambiguation:
         plan = build_disambiguation(amb, HadConfig("pc", 64, 8))
         assert plan.num_combiners == 1
         assert not plan.padded
-        assert plan.combiners[0].shape == (64, 8)
+        assert plan.columns.shape == (1, 8, 1, 8)
+        assert dense(plan.columns[0]).shape == (64, 8)
 
     def test_four_sources_four_combiners(self):
         amb = ambiguity_set([-50.0, -10.0, 20.0, 60.0], 8, 0.5)
@@ -256,7 +258,7 @@ class TestBuildDisambiguation:
         amb = ambiguity_set([25.0], 4, 0.5)
         had = HadConfig("pc", 16, 4)
         plan = build_disambiguation(amb, had)
-        w = plan.combiners[0]
+        w = dense(plan.columns[0])
         for ell, mu in enumerate(amb.per_source[0]):
             block = w[ell * 4:(ell + 1) * 4, ell]
             npt.assert_allclose(block, np.exp(1j * np.arange(4) * mu), atol=1e-12)
@@ -279,7 +281,7 @@ class TestResolveAmbiguity:
         s = generate_signals(src, k2, 1, False, RngSpec(9))[0]
         segments = [sm.entries @ s]
 
-        outputs = apply_combiner(plan.combiners[0], segments[0])
+        outputs = apply_combiner(plan.columns[0], segments[0])
         mean_power = float(np.mean(np.abs(s) ** 2))
         for i, cand in enumerate(amb.per_source[0]):
             metric = float(np.mean(np.abs(outputs[i]) ** 2)) / m_rf - 1.0
@@ -353,8 +355,7 @@ class TestEstimateSpcMpm:
 
         # stage-1 estimate alone is folded onto the dilated-array grid
         snaps = []
-        for w, x in zip(cb.matrices, segments):
-            q = apply_combiner(w, x)
+        for q in apply_combiner(cb.columns, np.asarray(segments)):
             snaps.extend(q[:, i] for i in range(q.shape[1]))
         base = _pencil_pipeline(snaps, PencilConfig(4, 1, l), 0.5,
                                 dilation=had.m_rf)
@@ -380,8 +381,7 @@ class TestEstimateSpcMpm:
         cb = build_pc_codebook(had)
         s = generate_signals(src, 3, 1, False, RngSpec(13))[0]
         x = sm.entries @ s
-        for n, w in enumerate(cb.matrices):
-            q = apply_combiner(w, x)
+        for n, q in enumerate(apply_combiner(cb.columns, x)):
             g = geometric_gain(mu - cb.phase_grid[n], m_rf)
             for ell in range(l):
                 expected = g * s[0] * np.exp(1j * ell * m_rf * mu)
@@ -399,7 +399,7 @@ class TestEstimateSpcMpm:
         s2 = generate_signals(src, 4, 1, False, rng.child("s2"))[0]
         with pytest.raises(AmbiguousGeometryError):
             estimate_spc_mpm(segments, sm.entries @ s2, had,
-                             PencilConfig(2, 2, l), cfg)
+                             PencilConfig(2, 2, l), cfg, build_pc_codebook(had))
 
     def test_budget_below_combiner_count(self):
         m, l = 16, 2  # m_rf = 8 candidates, G = 4 combiners
@@ -412,13 +412,15 @@ class TestEstimateSpcMpm:
         segments = [sm.entries @ b for b in sigs]
         tiny = (sm.entries @ generate_signals(src, 3, 1, False, rng.child("s2"))[0])
         with pytest.raises(ConfigError):
-            estimate_spc_mpm(segments, tiny, had, PencilConfig(1, 1, l), cfg)
+            estimate_spc_mpm(segments, tiny, had, PencilConfig(1, 1, l), cfg,
+                             build_pc_codebook(had))
 
     def test_pc_architecture_required(self):
         had = HadConfig("fc", 16, 4)
         with pytest.raises(ConfigError):
             estimate_spc_mpm([], np.zeros((16, 4)), had,
-                             PencilConfig(2, 1, 4), ArrayConfig(16, 0.5))
+                             PencilConfig(2, 1, 4), ArrayConfig(16, 0.5),
+                             build_fc_codebook(had))
 
 
 class TestTheorem2Bounds:

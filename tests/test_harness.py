@@ -1,7 +1,11 @@
 import argparse
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from pencil_doa.harness import (
     preset,
     run_experiment,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestConfigValidation:
@@ -234,19 +240,24 @@ class TestPresets:
 
 
 class TestDeterminism:
-    def test_same_seed_identical_bytes(self, tmp_path, monkeypatch):
-        cfg = ExperimentConfig(scenario="pmpm_pc", m=16, l=4, snapshots=16,
-                               angles_deg=(5.0,), snr_db=(15.0,),
-                               sweep="theta", grid=(5.0, -40.0), trials=20,
-                               seed=77)
+    def test_same_seed_identical_bytes(self, tmp_path):
+        # Two fresh interpreters with different str hashing must agree.
+        flags = ["run", "--scenario", "pmpm_pc", "--m", "16", "--l", "4",
+                 "--snapshots", "16", "--angles-deg", "5.0", "--snr-db", "15.0",
+                 "--sweep", "theta", "--grid", "5.0,-40.0", "--trials", "20",
+                 "--seed", "77"]
         paths = []
-        for run, threads in enumerate(("1", "4")):
-            monkeypatch.setenv("PENCIL_DOA_THREADS", threads)
-            records = run_experiment(cfg)
+        for run, hash_seed in enumerate(("1", "4242")):
             path = tmp_path / f"run{run}.csv"
-            emit_csv(records, path)
+            env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+            done = subprocess.run(
+                [sys.executable, "-m", "pencil_doa.cli", *flags, "--out", str(path)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+        records = list(csv.DictReader(paths[0].open(encoding="utf-8")))
+        assert [r["sweep"] for r in records] == ["5.00000000", "-40.0000000"]
 
 
 class TestConfigFile:

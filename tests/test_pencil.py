@@ -220,27 +220,27 @@ class TestPencilEigenvalues:
 
 class TestEigenToAngles:
     def test_quarter_turn_is_thirty_degrees(self):
-        eig = EigenResult(np.array([np.exp(1j * np.pi / 2)]), 1.0, 0.0)
+        eig = EigenResult(np.array([np.exp(1j * np.pi / 2)]))
         npt.assert_allclose(eigen_to_angles(eig, 0.5), [30.0], atol=1e-12)
 
     def test_unity_is_broadside(self):
-        eig = EigenResult(np.array([1.0 + 0.0j]), 1.0, 0.0)
+        eig = EigenResult(np.array([1.0 + 0.0j]))
         npt.assert_allclose(eigen_to_angles(eig, 0.5), [0.0])
 
     def test_dilated_mapping(self):
-        eig = EigenResult(np.array([np.exp(1j * np.pi / 2)]), 1.0, 0.0)
+        eig = EigenResult(np.array([np.exp(1j * np.pi / 2)]))
         got = eigen_to_angles(eig, 0.5, dilation=4)
         npt.assert_allclose(got, [math.degrees(math.asin(0.125))], atol=1e-10)
         assert got[0] == pytest.approx(7.1808, abs=1e-4)
 
     def test_clamp_warning(self):
-        eig = EigenResult(np.array([np.exp(1j * 3.0)]), 1.0, 0.0)
+        eig = EigenResult(np.array([np.exp(1j * 3.0)]))
         with pytest.warns(OutOfRangeWarning):
             got = eigen_to_angles(eig, 0.25, 1)
         npt.assert_allclose(got, [90.0])
 
     def test_sorted_output(self):
-        eig = EigenResult(np.exp(1j * np.array([1.5, -2.0, 0.3])), 1.0, 0.0)
+        eig = EigenResult(np.exp(1j * np.array([1.5, -2.0, 0.3])))
         got = eigen_to_angles(eig, 0.5)
         assert np.all(np.diff(got) > 0)
 

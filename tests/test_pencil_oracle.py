@@ -96,12 +96,12 @@ class TestRankErrorsMatchSeedKernels:
         segments = [steer @ (gen.standard_normal((2, 3))
                              + 1j * gen.standard_normal((2, 3)))
                     for _ in range(len(codebook))]
-        stage1 = np.concatenate([apply_combiner(w, seg) for w, seg
-                                 in zip(codebook.matrices, segments)], axis=1)
+        stage1 = np.concatenate(apply_combiner(codebook.columns, segments),
+                                axis=1)
         with pytest.raises(RankError):
             ref.oracle_angles(columns(stage1), 2, 2, 0.5, dilation=had.m_rf)
         block2 = steer @ gen.standard_normal((2, 8))
         with pytest.raises(AmbiguousGeometryError) as info:
             estimate_spc_mpm(segments, block2, had, PencilConfig(2, 2, 4),
-                             array, codebook=codebook)
+                             array, codebook)
         assert isinstance(info.value.__cause__, RankError)
