@@ -29,8 +29,6 @@ from .combiners import (
 )
 from .crlb import CrlbInputs, CrlbMatrix, crlb_fd, crlb_spc, steering_derivative
 from .estimators import (
-    AmbiguitySet,
-    DisambiguationPlan,
     ambiguity_set,
     build_disambiguation,
     estimate_fd_mpm,
@@ -47,10 +45,7 @@ from .harness import (
     run_experiment,
 )
 from .pencil import (
-    EigenResult,
-    HankelStack,
     PencilConfig,
-    PencilPair,
     augment,
     eigen_to_angles,
     hankel,

@@ -13,19 +13,20 @@ from .errors import ConfigError, SingularFim
 
 @dataclass(frozen=True)
 class CrlbInputs:
-    """Everything the bound formulas need; combiners present for the SPC case."""
+    """Everything the bound formulas need; combiners present for the SPC case.
+
+    Source powers are per unit noise variance: the harness draws noise with
+    sigma^2 = 1, and both bounds take that value.
+    """
 
     array: ArrayConfig
     sources: SourceSet
     snapshots: int
-    noise_var: float = 1.0
     combiners: CombinerSet | None = None
 
     def __post_init__(self):
         if self.snapshots < 1:
             raise ConfigError("snapshots must be positive")
-        if self.noise_var <= 0.0:
-            raise ConfigError("noise variance must be positive")
         if self.combiners is not None:
             m, l = self.array.num_antennas, self.combiners.rf_chains
             if not self.combiners.is_semi_unitary(m / l):
@@ -81,8 +82,8 @@ def _invert_fim(core: np.ndarray, prefactor: float) -> CrlbMatrix:
 def crlb_fd(inputs: CrlbInputs) -> CrlbMatrix:
     """DoA bound for the fully-digital receiver with Gaussian sources.
 
-    Evaluates sigma^2/(2*K) * (Re{F^H P_perp F .* (Phi A^H Sigma^-1 A Phi)^T})^-1
-    with the snapshot covariance Sigma = A Phi A^H + sigma^2 I. The same
+    Evaluates 1/(2*K) * (Re{F^H P_perp F .* (Phi A^H Sigma^-1 A Phi)^T})^-1
+    with the snapshot covariance Sigma = A Phi A^H + I (sigma^2 = 1). The same
     expression bounds the periodicity-based hybrid estimator when evaluated
     with the per-segment snapshot count.
     """
@@ -92,20 +93,20 @@ def crlb_fd(inputs: CrlbInputs) -> CrlbMatrix:
     f = steering_derivative(inputs.array, inputs.sources)
     phi = inputs.sources.power_matrix
     m = inputs.array.num_antennas
-    sigma = a @ phi @ a.conj().T + inputs.noise_var * np.eye(m)
+    sigma = a @ phi @ a.conj().T + np.eye(m)
     p_perp = _perp_projector(a)
     left = f.conj().T @ p_perp @ f
     right = phi @ a.conj().T @ np.linalg.solve(sigma, a) @ phi
     core = np.real(left * right.T)
-    return _invert_fim(core, inputs.noise_var / (2.0 * inputs.snapshots))
+    return _invert_fim(core, 1.0 / (2.0 * inputs.snapshots))
 
 
 def crlb_spc(inputs: CrlbInputs) -> CrlbMatrix:
     """DoA bound for the single-phase partially-connected combiner set.
 
     ``inputs.snapshots`` counts snapshots per combiner. Per combiner W, with
-    E = W^H A and G = W^H F, the output covariance is E Phi E^H + (M/L)
-    sigma^2 I and the derivative term is G^H P_perp(E) G. Combiners that null
+    E = W^H A and G = W^H F, the output covariance is E Phi E^H + (M/L) I
+    (sigma^2 = 1) and the derivative term is G^H P_perp(E) G. Combiners that null
     a source contribute nothing; their projector is formed through a
     pseudo-inverse so the sum stays well defined.
     """
@@ -119,9 +120,9 @@ def crlb_spc(inputs: CrlbInputs) -> CrlbMatrix:
     e = apply_combiner(inputs.combiners.columns, a)  # (N, L, R)
     g = apply_combiner(inputs.combiners.columns, f)
     e_h = e.conj().swapaxes(-1, -2)
-    upsilon = e @ phi @ e_h + (m / l) * inputs.noise_var * np.eye(l)
+    upsilon = e @ phi @ e_h + (m / l) * np.eye(l)
     left = g.conj().swapaxes(-1, -2) @ _perp_projector(e) @ g
     right = phi @ e_h @ np.linalg.solve(upsilon, e) @ phi
     core = np.real(left * right.swapaxes(-1, -2)).sum(axis=0)  # in combiner order
-    prefactor = inputs.noise_var * m / (2.0 * inputs.snapshots * l)
+    prefactor = m / (2.0 * inputs.snapshots * l)
     return _invert_fim(core, prefactor)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,11 +45,10 @@ from .pencil import (
 def _pencil_pipeline(snapshots, cfg: PencilConfig, spacing_ratio: float,
                      dilation: int = 1) -> np.ndarray:
     """augment -> subspace -> split -> eigenvalues -> angles, sorted ascending."""
-    stack = augment(snapshots, cfg.xi)
-    _, coords, _ = svd_denoise(stack, cfg.num_sources)
-    pair = split_pencil(coords, cfg.xi, stack.num_blocks)
-    eig = pencil_eigenvalues(pair, cfg.num_sources)
-    return eigen_to_angles(eig, spacing_ratio, dilation=dilation)
+    _, coords, _ = svd_denoise(augment(snapshots, cfg.xi), cfg.num_sources)
+    left, right = split_pencil(coords, cfg.xi)
+    eigenvalues = pencil_eigenvalues(left, right, cfg.num_sources)
+    return eigen_to_angles(eigenvalues, spacing_ratio, dilation=dilation)
 
 
 def estimate_fd_mpm(x: SnapshotBlock, cfg: PencilConfig,
@@ -97,67 +95,20 @@ def estimate_pmpm(segments, codebook: CombinerSet, cfg: PencilConfig,
     return estimate_fd_mpm(y, cfg, array)
 
 
-@dataclass(frozen=True)
-class AmbiguitySet:
-    """Grating-lobe phase candidates, m_rf per source, grouped by source."""
-
-    per_source: tuple  # tuple of ndarrays, each ascending in (-pi, pi]
-    m_rf: int
-    spacing_ratio: float
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Source-major concatenation of all candidates."""
-        return np.concatenate(self.per_source)
-
-    @property
-    def num_sources(self) -> int:
-        return len(self.per_source)
-
-
-def ambiguity_set(base_angles_deg, m_rf: int,
-                  spacing_ratio: float) -> AmbiguitySet:
+def ambiguity_set(base_angles_deg, m_rf: int, spacing_ratio: float) -> np.ndarray:
     """All phases indistinguishable from each base estimate on the dilated array.
 
-    For each source the candidates are mu + 2*pi*i/m_rf over the integer range
-    that keeps them inside (-pi, pi]; the half-open boundary excludes -pi, so
-    exactly m_rf candidates survive per source.
+    Row r holds source r's m_rf candidates mu + 2*pi*i/m_rf, ascending, one
+    per residue class of i mod m_rf, wrapped into (-pi, pi]: the class takes
+    its integer in [1 - m_rf, 0] if that candidate lies above -pi, else the
+    one in [1, m_rf]. No candidate is at or below -pi; one exceeds pi only
+    when its two integers round to either side of +-pi, and then by rounding.
     """
-    per_source = []
-    for theta in np.atleast_1d(np.asarray(base_angles_deg, dtype=float)):
-        mu = float(phase_from_angle(theta, spacing_ratio))
-        i_low = math.ceil(m_rf / 2.0 * (-1.0 - mu / np.pi) - 1e-9)
-        i_high = math.floor(m_rf / 2.0 * (1.0 - mu / np.pi) + 1e-9)
-        cands = mu + 2.0 * np.pi * np.arange(i_low, i_high + 1) / m_rf
-        cands = cands[(cands > -np.pi + 1e-9) & (cands <= np.pi + 1e-9)]
-        if cands.size > m_rf:
-            cands = cands[-m_rf:]  # drop the -pi duplicate of +pi
-        if cands.size != m_rf:
-            raise AmbiguousGeometryError(
-                f"expected {m_rf} grating-lobe candidates, found {cands.size}")
-        per_source.append(np.sort(cands))
-    return AmbiguitySet(per_source=tuple(per_source), m_rf=m_rf,
-                        spacing_ratio=spacing_ratio)
-
-
-@dataclass(frozen=True)
-class DisambiguationPlan:
-    """Candidate-steered block-diagonal combiners for the SNR scan.
-
-    ``columns`` has shape (G, L, 1, m_rf), in the layout of
-    ``CombinerSet.columns``. Slot j (1-based) of the flattened candidate list
-    lives in combiner g = ceil(j/L) at block ell = j - (g-1)L. When the
-    candidate count is not a multiple of L, the final combiner repeats the
-    last candidate to fill.
-    """
-
-    columns: np.ndarray
-    slot_phases: np.ndarray
-    padded: bool
-
-    @property
-    def num_combiners(self) -> int:
-        return len(self.columns)
+    mu = phase_from_angle(np.atleast_1d(np.asarray(base_angles_deg, dtype=float)),
+                          spacing_ratio)[:, None]
+    i = np.arange(1, m_rf + 1)
+    i = i - m_rf * (mu + 2.0 * np.pi * (i - m_rf) / m_rf > -np.pi)
+    return np.sort(mu + 2.0 * np.pi * i / m_rf, axis=1)
 
 
 def disambiguation_combiners(had: HadConfig, num_sources: int) -> int:
@@ -165,48 +116,51 @@ def disambiguation_combiners(had: HadConfig, num_sources: int) -> int:
     return math.ceil(had.m_rf * num_sources / had.rf_chains)
 
 
-def build_disambiguation(amb: AmbiguitySet, cfg: HadConfig) -> DisambiguationPlan:
-    """One combiner per L candidates, each block steered to its candidate phase."""
+def build_disambiguation(candidates: np.ndarray, cfg: HadConfig) -> np.ndarray:
+    """(G, L, 1, m_rf) columns: block ell of combiner g steered to one candidate.
+
+    Slot j (1-based) of the source-major candidate list lives in combiner
+    g = ceil(j/L) at block ell = j - (g-1)L. When the candidate count is not
+    a multiple of L, the final combiner repeats the last candidate to fill.
+    """
     if cfg.architecture != PC:
         raise ConfigError("disambiguation combiners require the PC architecture")
-    flat = amb.flat
-    l = cfg.rf_chains
-    g_total = math.ceil(flat.size / l)
-    padded = flat.size % l != 0
-    slots = np.concatenate([flat, np.full(g_total * l - flat.size, flat[-1])])
+    flat = np.ravel(candidates)
+    slots = np.concatenate([flat, np.full(-flat.size % cfg.rf_chains, flat[-1])])
     steered = np.exp(1j * np.arange(cfg.m_rf) * slots[:, None])
-    return DisambiguationPlan(columns=subarray_columns(steered, l),
-                              slot_phases=slots, padded=padded)
+    return subarray_columns(steered, cfg.rf_chains)
 
 
-def resolve_ambiguity(plan: DisambiguationPlan, segments,
-                      amb: AmbiguitySet) -> np.ndarray:
+def resolve_ambiguity(columns: np.ndarray, segments, candidates: np.ndarray,
+                      spacing_ratio: float) -> np.ndarray:
     """Pick each source's candidate by the highest per-chain output SNR.
 
+    ``columns`` comes from ``build_disambiguation(candidates, ...)`` and
     ``segments`` stacks one M-by-K2 block per combiner, (G, M, K2). The
     metric for candidate slot (g, ell) is the mean output power of RF chain
     ell under combiner g, normalized by the beamforming gain, minus the unit
-    noise floor. Ties break toward the candidate of smaller phase magnitude.
-    Returns one angle per source, in source order; the arcsine argument is
-    clamped to [-1, 1], since a candidate may sit up to 1e-9 past pi and,
-    below half-wavelength spacing, outside the visible region.
+    noise floor. Candidates tie when their metrics are equal as floats, with
+    no tolerance; a tie goes to the candidate of smallest |phase|, and among
+    those to the first in its row, the lowest phase for ``ambiguity_set``
+    rows. Returns one angle per source, in source order; the arcsine argument
+    is clamped to [-1, 1], since a candidate may exceed pi by rounding and,
+    below half-wavelength spacing, lie outside the visible region.
     """
     segments = np.asarray(segments)
-    if len(segments) != plan.num_combiners:
-        raise ShapeError(
-            f"{len(segments)} segments for {plan.num_combiners} combiners")
-    m_rf = amb.m_rf
-    out = apply_combiner(plan.columns, segments)
+    if len(segments) != len(columns):
+        raise ShapeError(f"{len(segments)} segments for {len(columns)} combiners")
+    m_rf = candidates.shape[1]
+    out = apply_combiner(columns, segments)
     slots = (np.mean(np.abs(out) ** 2, axis=-1) / m_rf - 1.0).ravel()
-    angles = np.empty(amb.num_sources)
-    for r, cands in enumerate(amb.per_source):
+    angles = np.empty(len(candidates))
+    for r, cands in enumerate(candidates):
         metrics = slots[r * m_rf:(r + 1) * m_rf]
         if np.all(metrics <= 0.0):
             warnings.warn(f"all candidates for source {r} at or below the "
                           "noise floor", LowSnrWarning, stacklevel=2)
         ties = np.nonzero(metrics == metrics.max())[0]
         mu_hat = cands[ties[np.argmin(np.abs(cands[ties]))]]
-        sine = mu_hat / (2.0 * np.pi * amb.spacing_ratio)
+        sine = mu_hat / (2.0 * np.pi * spacing_ratio)
         angles[r] = math.degrees(math.asin(min(1.0, max(-1.0, sine))))
     return angles
 
@@ -244,7 +198,7 @@ def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
             "pencil produced fewer distinct modes than sources; two sources "
             "may share a virtual steering vector") from exc
 
-    amb = ambiguity_set(base, had.m_rf, array.spacing_ratio)
+    candidates = ambiguity_set(base, had.m_rf, array.spacing_ratio)
     block = np.asarray(disambiguation_block)
     g_total = disambiguation_combiners(had, cfg.num_sources)
     if block.ndim != 2 or block.shape[0] != had.num_antennas:
@@ -254,5 +208,6 @@ def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
             f"disambiguation budget {block.shape[1]} below combiner count {g_total}")
     k2 = block.shape[1] // g_total
     chunks = block[:, :g_total * k2].reshape(had.num_antennas, g_total, k2)
-    plan = build_disambiguation(amb, had)
-    return np.sort(resolve_ambiguity(plan, chunks.swapaxes(0, 1), amb))
+    columns = build_disambiguation(candidates, had)
+    return np.sort(resolve_ambiguity(columns, chunks.swapaxes(0, 1), candidates,
+                                     array.spacing_ratio))

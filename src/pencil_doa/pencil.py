@@ -48,32 +48,6 @@ class PencilConfig:
                 f"xi={xi} outside [R, C-R] = [{r}, {c - r}] for C={c}")
 
 
-@dataclass(frozen=True)
-class HankelStack:
-    """Augmented matrix of ``num_blocks`` side-by-side Hankel blocks."""
-
-    augmented: np.ndarray
-    xi: int
-    num_blocks: int
-
-
-@dataclass(frozen=True)
-class PencilPair:
-    """Left/right matrices after deleting each block's last/first column."""
-
-    left: np.ndarray
-    right: np.ndarray
-    xi: int
-    num_blocks: int
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """The R largest-modulus pencil eigenvalues."""
-
-    eigenvalues: np.ndarray
-
-
 def hankel(x: np.ndarray, xi: int) -> np.ndarray:
     """Hankel view along axis 0: entry (i, ..., j) = x[i + j, ...] (0-based).
 
@@ -85,8 +59,8 @@ def hankel(x: np.ndarray, xi: int) -> np.ndarray:
     return sliding_window_view(x, xi + 1, axis=0)
 
 
-def augment(snapshots, xi: int) -> HankelStack:
-    """Concatenate one Hankel block per snapshot, in snapshot order.
+def augment(snapshots, xi: int) -> np.ndarray:
+    """The (C-xi, K(xi+1)) matrix H: one Hankel block per snapshot, in order.
 
     ``snapshots`` is a (K, C) array or a sequence of K length-C snapshots.
     """
@@ -99,18 +73,16 @@ def augment(snapshots, xi: int) -> HankelStack:
     if x.ndim != 2:
         raise ShapeError("snapshots must form a (K, C) array")
     blocks = hankel(x, xi)
-    return HankelStack(augmented=blocks.reshape(blocks.shape[0], -1), xi=xi,
-                       num_blocks=x.shape[1])
+    return blocks.reshape(blocks.shape[0], -1)
 
 
-def svd_denoise(stack: HankelStack, num_sources: int):
+def svd_denoise(aug: np.ndarray, num_sources: int):
     """Signal subspace of the augmented matrix H as (basis, coords, gap).
 
     basis is U_R, the R leading left singular vectors of H; coords is U_R^H H,
     so basis @ coords is the best rank-R approximation of H; gap is
     sigma_R / sigma_{R+1} (inf when there is no discarded value).
     """
-    aug = stack.augmented
     r = num_sources
     if r > min(aug.shape):
         raise PencilParamError(
@@ -124,19 +96,18 @@ def svd_denoise(stack: HankelStack, num_sources: int):
     return vh[:r].conj().T, vh[:r] @ aug, gap
 
 
-def split_pencil(h_aug: np.ndarray, xi: int, num_blocks: int) -> PencilPair:
-    """Delete each block's last column (left) and first column (right)."""
+def split_pencil(h_aug: np.ndarray, xi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right): each width-(xi+1) block less its last or first column."""
     h_aug = np.asarray(h_aug)
-    width = num_blocks * (xi + 1)
-    if h_aug.ndim != 2 or h_aug.shape[1] != width:
+    if h_aug.ndim != 2 or h_aug.shape[1] % (xi + 1):
         raise ShapeError(
-            f"expected {width} columns for {num_blocks} blocks of width {xi + 1}")
-    local = np.arange(width) % (xi + 1)
-    return PencilPair(left=h_aug[:, local != xi], right=h_aug[:, local != 0],
-                      xi=xi, num_blocks=num_blocks)
+            f"{h_aug.shape} is not a row of blocks of width {xi + 1}")
+    local = np.arange(h_aug.shape[1]) % (xi + 1)
+    return h_aug[:, local != xi], h_aug[:, local != 0]
 
 
-def pencil_eigenvalues(pair: PencilPair, num_sources: int) -> EigenResult:
+def pencil_eigenvalues(left: np.ndarray, right: np.ndarray,
+                       num_sources: int) -> np.ndarray:
     """R largest-modulus eigenvalues of pinv(left) @ right.
 
     The pseudo-inverse is taken through the SVD of the left matrix with a
@@ -147,7 +118,7 @@ def pencil_eigenvalues(pair: PencilPair, num_sources: int) -> EigenResult:
     """
     r = num_sources
     try:
-        u, s, vh = np.linalg.svd(pair.left, full_matrices=False)
+        u, s, vh = np.linalg.svd(left, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("SVD failed to converge") from exc
     keep = s > PINV_RCOND * s[0] if s.size and s[0] > 0.0 else np.zeros_like(s, bool)
@@ -158,13 +129,13 @@ def pencil_eigenvalues(pair: PencilPair, num_sources: int) -> EigenResult:
     uk = u[:, keep]
     vk = vh[keep].conj().T
     sk = s[keep]
-    reduced = (uk.conj().T @ pair.right @ vk) / sk[:, None]
+    reduced = (uk.conj().T @ right @ vk) / sk[:, None]
     values = np.linalg.eigvals(reduced)
     order = np.argsort(-np.abs(values))[:r]
-    return EigenResult(eigenvalues=values[order])
+    return values[order]
 
 
-def eigen_to_angles(eig: EigenResult, spacing_ratio: float,
+def eigen_to_angles(eigenvalues: np.ndarray, spacing_ratio: float,
                     dilation: int = 1) -> np.ndarray:
     """Map pencil eigenvalues to DoA estimates in degrees, sorted ascending.
 
@@ -173,7 +144,7 @@ def eigen_to_angles(eig: EigenResult, spacing_ratio: float,
     Arcsine arguments are clamped to [-1, 1]; clamping beyond 0.05 raises
     an OutOfRangeWarning but the estimate is kept.
     """
-    args = np.angle(eig.eigenvalues) / (2.0 * np.pi * spacing_ratio * dilation)
+    args = np.angle(eigenvalues) / (2.0 * np.pi * spacing_ratio * dilation)
     excess = np.max(np.abs(args)) - 1.0
     if excess > 0.05:
         warnings.warn(

@@ -5,7 +5,11 @@
 original implementation, copied verbatim: one scipy Hankel matrix per
 snapshot, a full SVD of the augmented matrix, the rank-R reconstruction, and
 a second SVD for the pseudo-inverse. ``oracle_angles`` chains them as the
-estimators once did, ending in the package's unchanged ``eigen_to_angles``.
+estimators once did, ending in the seed ``eigen_to_angles``, copied verbatim.
+
+``ambiguity_set`` (with ``AmbiguitySet``) is the seed grating-lobe candidate
+search, copied verbatim: a ceil/floor integer bracket with 1e-9 fudges at
+both ends of (-pi, pi] and a drop of the -pi duplicate.
 
 ``build_pc_codebook`` and ``build_disambiguation`` (with ``CombinerSet``,
 ``DisambiguationPlan`` and ``_steered_block``) are the seed combiner builders,
@@ -34,21 +38,27 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import block_diag
 
-from pencil_doa.arrays import ArrayConfig, SnapshotBlock, SourceSet, steering_matrix
+from pencil_doa.arrays import (
+    ArrayConfig,
+    SnapshotBlock,
+    SourceSet,
+    phase_from_angle,
+    steering_matrix,
+)
 from pencil_doa.combiners import FC, PC, HadConfig, dft_column, dft_phase
 from pencil_doa.crlb import CrlbMatrix, steering_derivative
 from pencil_doa.errors import (
+    AmbiguousGeometryError,
     ConfigError,
     EmptyInput,
     LowSnrWarning,
     NumericalError,
+    OutOfRangeWarning,
     PencilParamError,
     RankError,
     ShapeError,
     SingularFim,
 )
-from pencil_doa.estimators import AmbiguitySet
-from pencil_doa.pencil import eigen_to_angles
 
 # Relative singular-value cutoff for pseudo-inverses and rank decisions.
 PINV_RCOND = 1e-10
@@ -176,6 +186,25 @@ def pencil_eigenvalues(pair: PencilPair, num_sources: int) -> EigenResult:
                        sigma_discarded=sigma_discarded)
 
 
+def eigen_to_angles(eig: EigenResult, spacing_ratio: float,
+                    dilation: int = 1) -> np.ndarray:
+    """Map pencil eigenvalues to DoA estimates in degrees, sorted ascending.
+
+    Uses the principal phase of each eigenvalue; ``dilation`` is 1 for
+    full-aperture pencils and m_rf for the subarray-spaced virtual array.
+    Arcsine arguments are clamped to [-1, 1]; clamping beyond 0.05 raises
+    an OutOfRangeWarning but the estimate is kept.
+    """
+    args = np.angle(eig.eigenvalues) / (2.0 * np.pi * spacing_ratio * dilation)
+    excess = np.max(np.abs(args)) - 1.0
+    if excess > 0.05:
+        warnings.warn(
+            f"arcsine argument exceeded unity by {excess:.3g}; clamped",
+            OutOfRangeWarning, stacklevel=2)
+    angles = np.degrees(np.arcsin(np.clip(args, -1.0, 1.0)))
+    return np.sort(angles)
+
+
 def oracle_angles(snapshots, xi: int, num_sources: int, spacing_ratio: float,
                   dilation: int = 1) -> np.ndarray:
     """augment -> denoise -> split -> eigenvalues -> angles, as at the seed."""
@@ -184,6 +213,49 @@ def oracle_angles(snapshots, xi: int, num_sources: int, spacing_ratio: float,
     pair = split_pencil(denoised, xi, stack.num_blocks)
     eig = pencil_eigenvalues(pair, num_sources)
     return eigen_to_angles(eig, spacing_ratio, dilation=dilation)
+
+
+@dataclass(frozen=True)
+class AmbiguitySet:
+    """Grating-lobe phase candidates, m_rf per source, grouped by source."""
+
+    per_source: tuple  # tuple of ndarrays, each ascending in (-pi, pi]
+    m_rf: int
+    spacing_ratio: float
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Source-major concatenation of all candidates."""
+        return np.concatenate(self.per_source)
+
+    @property
+    def num_sources(self) -> int:
+        return len(self.per_source)
+
+
+def ambiguity_set(base_angles_deg, m_rf: int,
+                  spacing_ratio: float) -> AmbiguitySet:
+    """All phases indistinguishable from each base estimate on the dilated array.
+
+    For each source the candidates are mu + 2*pi*i/m_rf over the integer range
+    that keeps them inside (-pi, pi]; the half-open boundary excludes -pi, so
+    exactly m_rf candidates survive per source.
+    """
+    per_source = []
+    for theta in np.atleast_1d(np.asarray(base_angles_deg, dtype=float)):
+        mu = float(phase_from_angle(theta, spacing_ratio))
+        i_low = math.ceil(m_rf / 2.0 * (-1.0 - mu / np.pi) - 1e-9)
+        i_high = math.floor(m_rf / 2.0 * (1.0 - mu / np.pi) + 1e-9)
+        cands = mu + 2.0 * np.pi * np.arange(i_low, i_high + 1) / m_rf
+        cands = cands[(cands > -np.pi + 1e-9) & (cands <= np.pi + 1e-9)]
+        if cands.size > m_rf:
+            cands = cands[-m_rf:]  # drop the -pi duplicate of +pi
+        if cands.size != m_rf:
+            raise AmbiguousGeometryError(
+                f"expected {m_rf} grating-lobe candidates, found {cands.size}")
+        per_source.append(np.sort(cands))
+    return AmbiguitySet(per_source=tuple(per_source), m_rf=m_rf,
+                        spacing_ratio=spacing_ratio)
 
 
 @dataclass(frozen=True)

@@ -231,8 +231,7 @@ def test_criterion_4_candidate_cardinality():
         for _ in range(1000):
             mu = float(gen.uniform(-np.pi, np.pi))
             theta = math.degrees(math.asin(mu / np.pi)) if abs(mu) < np.pi else 89.9
-            amb = ambiguity_set([theta], m_rf, 0.5)
-            cands = amb.per_source[0]
+            cands = ambiguity_set([theta], m_rf, 0.5)[0]
             assert cands.size == m_rf
             assert np.all(cands > -np.pi) and np.all(cands <= np.pi + 1e-9)
             checked += 1
@@ -275,13 +274,11 @@ def _sparse_fd_rmse(snr_db, trials, seed):
         s = generate_signals(sources, k, 1, False, rng.child("signal"))[0]
         z = generate_noise(l, k, rng.child("noise"))
         x = a_virtual @ s + z
-        stack = augment([x[:, i] for i in range(k)], l // 2)
-        _, coords, _ = svd_denoise(stack, 1)
-        pair = split_pencil(coords, l // 2, k)
-        eig = pencil_eigenvalues(pair, 1)
+        _, coords, _ = svd_denoise(augment([x[:, i] for i in range(k)], l // 2), 1)
+        eig = pencil_eigenvalues(*split_pencil(coords, l // 2), 1)
         folded = eigen_to_angles(eig, 0.5, dilation=m_rf)
-        amb = ambiguity_set(folded, m_rf, 0.5)
-        cand_deg = np.degrees(np.arcsin(amb.per_source[0] / np.pi))
+        cands = ambiguity_set(folded, m_rf, 0.5)[0]
+        cand_deg = np.degrees(np.arcsin(cands / np.pi))
         est = cand_deg[np.argmin(np.abs(cand_deg - theta))]
         total += (est - theta) ** 2
         count += 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -31,8 +32,10 @@ from pencil_doa.errors import (
     AmbiguousGeometryError,
     ConfigError,
     ESTIMATOR_FAILURES,
+    LowSnrWarning,
     ShapeError,
 )
+import reference_kernels as ref
 from reference_kernels import dense
 
 
@@ -211,55 +214,77 @@ class TestEstimatePmpm:
 class TestAmbiguitySet:
     def test_quarter_turn_candidates(self):
         theta = math.degrees(math.asin(0.5))  # mu = pi/2
-        amb = ambiguity_set([theta], 4, 0.5)
-        npt.assert_allclose(amb.per_source[0],
+        cands = ambiguity_set([theta], 4, 0.5)
+        assert cands.shape == (1, 4)
+        npt.assert_allclose(cands[0],
                             [-np.pi / 2, 0.0, np.pi / 2, np.pi], atol=1e-9)
 
     def test_broadside_two_candidates(self):
-        amb = ambiguity_set([0.0], 2, 0.5)
-        npt.assert_allclose(amb.per_source[0], [0.0, np.pi], atol=1e-12)
+        cands = ambiguity_set([0.0], 2, 0.5)
+        npt.assert_allclose(cands[0], [0.0, np.pi], atol=1e-12)
 
     def test_cardinality_and_range(self):
         gen = np.random.default_rng(17)
         for m_rf in (2, 4, 8):
             for _ in range(200):
                 theta = float(gen.uniform(-89.0, 89.0))
-                amb = ambiguity_set([theta], m_rf, 0.5)
-                cands = amb.per_source[0]
+                cands = ambiguity_set([theta], m_rf, 0.5)[0]
                 assert cands.size == m_rf
                 assert np.all(cands > -np.pi) and np.all(cands <= np.pi + 1e-9)
                 diffs = np.diff(cands)
                 npt.assert_allclose(diffs, 2 * np.pi / m_rf, atol=1e-9)
 
 
+    @pytest.mark.parametrize("m_rf", [1, 2, 3, 4, 5, 8, 16])
+    def test_matches_seed_search_away_from_pi(self, m_rf):
+        # A dense grid, plus angles that put a candidate on or within 3e-10
+        # rad of +-pi. Candidates more than 1e-9 rad from +-pi equal the seed
+        # bracket search's bit for bit. Where the seed raised for want of a
+        # candidate, the wrap finds one within 1e-9 rad of +-pi.
+        edges = [1.0 - 2.0 * k / m_rf + eps for k in range(m_rf + 1)
+                 for eps in (0.0, 1e-16, -1e-16, 3e-10, -3e-10)]
+        angles = np.concatenate([
+            np.linspace(-90.0, 90.0, 3001), [1e-9, -1e-9, 1.7188733853924695e-08],
+            [math.degrees(math.asin(v)) for v in edges if -1.0 <= v <= 1.0]])
+        got = ambiguity_set(angles, m_rf, 0.5)
+        assert got.shape == (angles.size, m_rf)
+        assert np.all(got > -np.pi)
+        assert np.all(np.diff(got, axis=1) > 0.0)
+        for theta, row in zip(angles, got):
+            away = row[np.pi - np.abs(row) >= 1e-9]
+            try:
+                want = ref.ambiguity_set([theta], m_rf, 0.5).per_source[0]
+            except AmbiguousGeometryError:
+                assert away.size < m_rf
+                continue
+            npt.assert_array_equal(away, want[np.abs(np.pi - np.abs(want)) >= 1e-9])
+
+
 class TestBuildDisambiguation:
     def test_single_combiner_for_full_chain_budget(self):
-        amb = ambiguity_set([10.0], 8, 0.5)
-        plan = build_disambiguation(amb, HadConfig("pc", 64, 8))
-        assert plan.num_combiners == 1
-        assert not plan.padded
-        assert plan.columns.shape == (1, 8, 1, 8)
-        assert dense(plan.columns[0]).shape == (64, 8)
+        cands = ambiguity_set([10.0], 8, 0.5)
+        columns = build_disambiguation(cands, HadConfig("pc", 64, 8))
+        assert columns.shape == (1, 8, 1, 8)
+        assert dense(columns[0]).shape == (64, 8)
 
     def test_four_sources_four_combiners(self):
-        amb = ambiguity_set([-50.0, -10.0, 20.0, 60.0], 8, 0.5)
-        plan = build_disambiguation(amb, HadConfig("pc", 64, 8))
-        assert plan.num_combiners == 4
+        cands = ambiguity_set([-50.0, -10.0, 20.0, 60.0], 8, 0.5)
+        columns = build_disambiguation(cands, HadConfig("pc", 64, 8))
+        assert len(columns) == 4
 
     def test_padding_when_candidates_fall_short(self):
-        amb = ambiguity_set([10.0], 4, 0.5)  # 4 candidates for 8 chains
-        plan = build_disambiguation(amb, HadConfig("pc", 32, 8))
-        assert plan.num_combiners == 1
-        assert plan.padded
-        npt.assert_allclose(plan.slot_phases[:4], amb.per_source[0])
-        npt.assert_allclose(plan.slot_phases[4:], amb.per_source[0][-1])
+        cands = ambiguity_set([10.0], 4, 0.5)  # 4 candidates for 8 chains
+        columns = build_disambiguation(cands, HadConfig("pc", 32, 8))
+        assert columns.shape == (1, 8, 1, 4)
+        slots = np.concatenate([cands[0], np.full(4, cands[0][-1])])
+        npt.assert_array_equal(columns[0, :, 0],
+                               np.exp(1j * np.arange(4) * slots[:, None]))
 
     def test_blocks_steered_to_candidates(self):
-        amb = ambiguity_set([25.0], 4, 0.5)
+        cands = ambiguity_set([25.0], 4, 0.5)
         had = HadConfig("pc", 16, 4)
-        plan = build_disambiguation(amb, had)
-        w = dense(plan.columns[0])
-        for ell, mu in enumerate(amb.per_source[0]):
+        w = dense(build_disambiguation(cands, had)[0])
+        for ell, mu in enumerate(cands[0]):
             block = w[ell * 4:(ell + 1) * 4, ell]
             npt.assert_allclose(block, np.exp(1j * np.arange(4) * mu), atol=1e-12)
 
@@ -275,38 +300,64 @@ class TestResolveAmbiguity:
         sm = steering_matrix(cfg, src)
         mu = sm.phases[0]
 
-        amb = ambiguity_set([theta], m_rf, 0.5)
+        cands = ambiguity_set([theta], m_rf, 0.5)
         k2 = 16
-        plan = build_disambiguation(amb, had)
+        columns = build_disambiguation(cands, had)
         s = generate_signals(src, k2, 1, False, RngSpec(9))[0]
         segments = [sm.entries @ s]
 
-        outputs = apply_combiner(plan.columns[0], segments[0])
+        outputs = apply_combiner(columns[0], segments[0])
         mean_power = float(np.mean(np.abs(s) ** 2))
-        for i, cand in enumerate(amb.per_source[0]):
+        for i, cand in enumerate(cands[0]):
             metric = float(np.mean(np.abs(outputs[i]) ** 2)) / m_rf - 1.0
             oracle = abs(geometric_gain(mu - cand, m_rf)) ** 2 * mean_power / m_rf - 1.0
             assert metric == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
         # matched candidate carries the full beamforming gain
-        matched = int(np.argmin(np.abs(amb.per_source[0] - mu)))
+        matched = int(np.argmin(np.abs(cands[0] - mu)))
         matched_metric = float(np.mean(np.abs(outputs[matched]) ** 2)) / m_rf - 1.0
         assert matched_metric + 1.0 == pytest.approx(m_rf * mean_power, rel=1e-9)
 
-        angles = resolve_ambiguity(plan, segments, amb)
+        angles = resolve_ambiguity(columns, segments, cands, 0.5)
         npt.assert_allclose(angles, [theta], atol=1e-9)
 
-    def test_candidate_past_pi_gives_endfire_angle(self):
-        # Base phase just above 0 with m_rf = 2: the second candidate is
-        # mu + pi, inside the 1e-9 tolerance past pi. Blocks steered to it
-        # make it win, and its angle is the clamped +90 degrees.
+    def test_endfire_candidate_gives_finite_angle(self):
+        # Base phase just above 0 with m_rf = 2: mu + pi lies past pi, so its
+        # residue class wraps to mu - pi, just above -pi, and no candidate
+        # exceeds pi. Blocks steered to it make it win, and its angle is
+        # within rounding of -90 degrees, with the arcsine argument clamped.
         had = HadConfig("pc", 2, 1)
-        amb = ambiguity_set([1e-9], had.m_rf, 0.5)
-        assert amb.per_source[0][-1] > np.pi
-        plan = build_disambiguation(amb, had)
-        block = np.exp(1j * np.arange(2) * amb.per_source[0][-1])[:, None]
-        angles = resolve_ambiguity(plan, [block] * plan.num_combiners, amb)
-        npt.assert_array_equal(angles, [90.0])
+        cands = ambiguity_set([1e-9], had.m_rf, 0.5)
+        assert np.all(cands > -np.pi) and np.all(cands <= np.pi)
+        assert cands[0][0] < -np.pi + 1e-9
+        columns = build_disambiguation(cands, had)
+        block = np.exp(1j * np.arange(2) * cands[0][0])[:, None]
+        angles = resolve_ambiguity(columns, [block] * len(columns), cands, 0.5)
+        assert np.all(np.isfinite(angles))
+        npt.assert_allclose(angles, [-90.0], atol=1e-3)
+
+    def test_all_zero_block_ties_pick_smallest_phase(self):
+        # A zero disambiguation block puts every metric at exactly -1: all
+        # candidates tie, each source warns once and takes the candidate of
+        # smallest |phase|, the lower one of an exact +-phase pair.
+        had = HadConfig("pc", 32, 8)
+        cands = ambiguity_set([-40.0, 10.0, 30.0], had.m_rf, 0.5)
+        columns = build_disambiguation(cands, had)
+        zeros = np.zeros((len(columns), had.num_antennas, 3), dtype=complex)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            angles = resolve_ambiguity(columns, zeros, cands, 0.5)
+        assert [type(w.message) for w in caught] == [LowSnrWarning] * 3
+        picks = cands[np.arange(3), np.argmin(np.abs(cands), axis=1)]
+        npt.assert_array_equal(
+            angles, [math.degrees(math.asin(mu / np.pi)) for mu in picks])
+
+        pair = np.array([[-1.0, 1.0]])
+        had = HadConfig("pc", 4, 2)
+        with pytest.warns(LowSnrWarning):
+            angles = resolve_ambiguity(build_disambiguation(pair, had),
+                                       np.zeros((1, 4, 3)), pair, 0.5)
+        npt.assert_array_equal(angles, [math.degrees(math.asin(-1.0 / np.pi))])
 
     def test_selection_rate_at_moderate_snr(self):
         m, l, ktot = 32, 8, 128

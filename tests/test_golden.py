@@ -3,9 +3,10 @@
 ``tests/golden/<preset>__<scenario>.csv`` holds the CSV that every preset
 gives under every scenario at four trials per sweep point: 4 presets by 6
 scenarios, less example4's two bound scenarios, which its random per-trial
-angles make invalid. Together they pin the estimators, the bounds, the theta
-sweep and the sentinel and failure paths that the benchmark references do not
-reach.
+angles make invalid. ``<preset>__<scenario>__<variant>.csv`` holds a preset
+changed as ``VARIANTS`` says. Together they pin the estimators, the bounds,
+the theta sweep and the sentinel and failure paths that the benchmark
+references do not reach.
 
 A change meant to keep the outputs must pass this test unchanged. Rewrite the
 files only for a change meant to alter them, and say why in CHANGES.md:
@@ -13,6 +14,7 @@ files only for a change meant to alter them, and say why in CHANGES.md:
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -31,36 +33,53 @@ from pencil_doa.harness import (
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 TRIALS = 4
 
+# Preset fields changed by each variant; "" is the preset as it is. In
+# "folded" the sources at -30 and 30 deg both sit at m_rf*mu = 0 mod 2*pi on
+# example2's dilated virtual array, so every spc_mpm trial raises
+# AmbiguousGeometryError and the row carries the failure sentinel.
+VARIANTS = {
+    "": {},
+    "folded": {"angles_deg": (-30.0, 30.0), "grid": (math.inf,)},
+}
+
 
 def golden_cases() -> list:
+    """(preset, scenario, variant) for every file in the corpus."""
     cases = []
     for name in PRESET_NAMES:
         for scenario in SCENARIOS:
             if preset(name).random_theta and scenario in CRLB_SCENARIOS:
                 continue
-            cases.append((name, scenario))
+            cases.append((name, scenario, ""))
+    cases.append(("example2", "spc_mpm", "folded"))
     return cases
 
 
-def golden_csv(name: str, scenario: str) -> str:
-    cfg = replace(preset(name), scenario=scenario, trials=TRIALS)
+def case_id(case: tuple) -> str:
+    return "-".join(filter(None, case))
+
+
+def golden_csv(name: str, scenario: str, variant: str) -> str:
+    cfg = replace(preset(name), scenario=scenario, trials=TRIALS,
+                  **VARIANTS[variant])
     return csv_text(run_experiment(cfg))
 
 
-def golden_path(name: str, scenario: str) -> Path:
-    return GOLDEN_DIR / f"{name}__{scenario}.csv"
+def golden_path(name: str, scenario: str, variant: str) -> Path:
+    return GOLDEN_DIR / f"{'__'.join(filter(None, (name, scenario, variant)))}.csv"
 
 
 def test_corpus_covers_every_case():
-    assert len(golden_cases()) == 22
+    assert len(golden_cases()) == 23
     assert sorted(GOLDEN_DIR.glob("*.csv")) == sorted(
         golden_path(*case) for case in golden_cases())
 
 
-@pytest.mark.parametrize("name,scenario", golden_cases())
-def test_csv_matches_golden(name, scenario):
-    expected = golden_path(name, scenario).read_bytes()
-    assert golden_csv(name, scenario).encode("utf-8") == expected
+@pytest.mark.parametrize("name,scenario,variant", golden_cases(),
+                         ids=[case_id(case) for case in golden_cases()])
+def test_csv_matches_golden(name, scenario, variant):
+    expected = golden_path(name, scenario, variant).read_bytes()
+    assert golden_csv(name, scenario, variant).encode("utf-8") == expected
 
 
 if __name__ == "__main__":

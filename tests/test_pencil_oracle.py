@@ -2,7 +2,10 @@
 
 ``reference_kernels`` holds the seed chain verbatim: a scipy Hankel matrix
 per snapshot, a full SVD, the rank-R reconstruction and a second SVD. The
-package must give the same angles, and raise where it raised.
+package must give the same angles, and raise where it raised. Over the same
+geometries, the estimators must also keep the invariances of the model:
+reordering the snapshots or rotating each by a common phase leaves the
+angles unchanged, and conjugating the data mirrors them.
 """
 
 import numpy as np
@@ -18,8 +21,10 @@ from pencil_doa import (
     SourceSet,
     apply_combiner,
     augment,
+    build_codebook,
     build_pc_codebook,
     estimate_fd_mpm,
+    estimate_pmpm,
     estimate_spc_mpm,
     steering_matrix,
     svd_denoise,
@@ -47,21 +52,25 @@ def geometries(draw):
     return m, r, xi, k, angles, snr_db, seed
 
 
+def draw_block(m, r, k, angles, snr_db, gen, segments=1):
+    """(segments, M, K) source-plus-unit-noise blocks; one signal repeats."""
+    power = 10.0 ** (snr_db / 10.0)
+    steer = steering_matrix(ArrayConfig(m, 0.5),
+                            SourceSet(angles, (power,) * r)).entries
+    s = np.sqrt(power / 2) * (gen.standard_normal((r, k))
+                              + 1j * gen.standard_normal((r, k)))
+    z = np.sqrt(0.5) * (gen.standard_normal((segments, m, k))
+                        + 1j * gen.standard_normal((segments, m, k)))
+    return steer @ s + z
+
+
 class TestSubspaceSolveMatchesSeedKernels:
     @settings(max_examples=80, deadline=None)
     @given(geometries())
     def test_angles_match_oracle(self, geometry):
         m, r, xi, k, angles, snr_db, seed = geometry
-        gen = np.random.default_rng(seed)
-        power = 10.0 ** (snr_db / 10.0)
-        array = ArrayConfig(m, 0.5)
-        steer = steering_matrix(array, SourceSet(angles, (power,) * r)).entries
-        s = np.sqrt(power / 2) * (gen.standard_normal((r, k))
-                                  + 1j * gen.standard_normal((r, k)))
-        z = np.sqrt(0.5) * (gen.standard_normal((m, k))
-                            + 1j * gen.standard_normal((m, k)))
-        x = steer @ s + z
-        got = estimate_fd_mpm(x, PencilConfig(xi, r, m), array)
+        x = draw_block(m, r, k, angles, snr_db, np.random.default_rng(seed))[0]
+        got = estimate_fd_mpm(x, PencilConfig(xi, r, m), ArrayConfig(m, 0.5))
         want = ref.oracle_angles(columns(x), xi, r, 0.5)
         assert np.max(np.abs(got - want)) < ANGLE_TOL_DEG
 
@@ -71,6 +80,53 @@ class TestSubspaceSolveMatchesSeedKernels:
         _, _, gap = svd_denoise(augment(x.T, 8), 2)
         _, want = ref.svd_denoise(ref.augment(columns(x), 8), 2)
         assert gap == pytest.approx(want, rel=1e-12)
+
+
+class TestInvariances:
+    """Permuted, phase-rotated and conjugated snapshots, within 1e-10 deg."""
+
+    @staticmethod
+    def permute_and_rotate(segments, seed):
+        gen = np.random.default_rng(seed)
+        k = segments.shape[-1]
+        rotation = np.exp(1j * gen.uniform(-np.pi, np.pi, size=k))
+        return (segments * rotation)[..., gen.permutation(k)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometries())
+    def test_fd_mpm_snapshot_order_and_phase(self, geometry):
+        m, r, xi, k, angles, snr_db, seed = geometry
+        x = draw_block(m, r, k, angles, snr_db, np.random.default_rng(seed))[0]
+        cfg, array = PencilConfig(xi, r, m), ArrayConfig(m, 0.5)
+        want = estimate_fd_mpm(x, cfg, array)
+        got = estimate_fd_mpm(self.permute_and_rotate(x, seed + 1), cfg, array)
+        assert np.max(np.abs(got - want)) < ANGLE_TOL_DEG
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometries(), st.sampled_from(["fc", "pc"]), st.data())
+    def test_pmpm_snapshot_order_and_phase(self, geometry, arch, data):
+        m, r, xi, k, angles, snr_db, seed = geometry
+        l = data.draw(st.sampled_from([d for d in range(1, m) if m % d == 0]))
+        codebook = build_codebook(HadConfig(arch, m, l))
+        segments = draw_block(m, r, k, angles, snr_db,
+                              np.random.default_rng(seed), len(codebook))
+        cfg, array = PencilConfig(xi, r, m), ArrayConfig(m, 0.5)
+        want = estimate_pmpm(segments, codebook, cfg, array)
+        got = estimate_pmpm(self.permute_and_rotate(segments, seed + 1),
+                            codebook, cfg, array)
+        assert np.max(np.abs(got - want)) < ANGLE_TOL_DEG
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometries())
+    def test_fd_mpm_conjugate_mirrors_angles(self, geometry):
+        # conj(A(theta)) = A(-theta), so the conjugated block is one drawn
+        # from the mirrored sources
+        m, r, xi, k, angles, snr_db, seed = geometry
+        x = draw_block(m, r, k, angles, snr_db, np.random.default_rng(seed))[0]
+        cfg, array = PencilConfig(xi, r, m), ArrayConfig(m, 0.5)
+        want = -estimate_fd_mpm(x, cfg, array)[::-1]
+        got = estimate_fd_mpm(x.conj(), cfg, array)
+        assert np.max(np.abs(got - want)) < ANGLE_TOL_DEG
 
 
 class TestRankErrorsMatchSeedKernels:
