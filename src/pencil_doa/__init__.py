@@ -5,7 +5,6 @@ from .arrays import (
     RngSpec,
     SnapshotBlock,
     SourceSet,
-    SteeringMatrix,
     generate_noise,
     generate_signals,
     phase_from_angle,
@@ -14,7 +13,6 @@ from .arrays import (
     steering_matrix,
 )
 from .combiners import (
-    CombinerSet,
     GainModel,
     HadConfig,
     SectorSet,

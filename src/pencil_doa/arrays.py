@@ -98,21 +98,13 @@ class SourceSet:
         return np.diag(self.powers)
 
 
-@dataclass(frozen=True)
-class SteeringMatrix:
-    """Array response columns (one per source) and the phases that built them."""
-
-    entries: np.ndarray  # (M, R) complex, row m is exp(1j*m*mu_r)
-    phases: np.ndarray  # (R,) mu_r in radians
-
-
 def phase_from_angle(theta_deg, spacing_ratio: float):
     """Inter-element phase mu for angle(s) in degrees."""
     return 2.0 * np.pi * spacing_ratio * np.sin(np.radians(theta_deg))
 
 
-def steering_matrix(cfg: ArrayConfig, sources: SourceSet) -> SteeringMatrix:
-    """Assemble the M-by-R steering matrix for the given sources.
+def steering_matrix(cfg: ArrayConfig, sources: SourceSet) -> np.ndarray:
+    """The M-by-R steering matrix for the given sources.
 
     Column r holds ``exp(1j*(m-1)*mu_r)`` for antenna index ``m``; every entry
     has unit modulus and the first row is all ones.
@@ -122,9 +114,7 @@ def steering_matrix(cfg: ArrayConfig, sources: SourceSet) -> SteeringMatrix:
     if not np.all(np.abs(mu) < np.pi):
         raise UnsupportedGeometry(
             f"inter-element phase {np.max(np.abs(mu)):.17g} rad not below pi")
-    m_idx = np.arange(cfg.num_antennas)
-    entries = np.exp(1j * np.outer(m_idx, mu))
-    return SteeringMatrix(entries=entries, phases=mu)
+    return np.exp(1j * np.outer(np.arange(cfg.num_antennas), mu))
 
 
 def generate_signals(sources: SourceSet, snapshots: int, segments: int,
@@ -159,10 +149,9 @@ def generate_noise(channels: int, snapshots: int, rng: RngSpec) -> SnapshotBlock
     return np.sqrt(0.5) * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
 
 
-def receive_fd(steering: SteeringMatrix, signals: np.ndarray,
+def receive_fd(a: np.ndarray, signals: np.ndarray,
                noise: SnapshotBlock) -> SnapshotBlock:
-    """Fully-digital receive model: steering times signals plus noise."""
-    a = steering.entries
+    """Fully-digital receive model: steering ``a``, (M, R), times signals plus noise."""
     signals = np.asarray(signals)
     noise = np.asarray(noise)
     if signals.ndim != 2 or a.shape[1] != signals.shape[0]:

@@ -5,11 +5,12 @@ power split across chains) and partially-connected (disjoint subarrays of
 ``m_rf`` antennas per RF chain). Also provides the subarray gain kernel and
 the spatial sectors swept by the partially-connected codebook.
 
-Every combiner is stored as its subarray columns, an array of shape
-(blocks, width, m_rf), never as a dense M-by-L matrix: (1, L, M) under FC,
-(L, 1, m_rf) under PC and for the disambiguation scan. Only this module
-builds or reads that layout; other modules pass the arrays to
-``apply_combiner`` (W^H X) and ``apply_adjoint`` (W Q).
+Every combiner is stored as its subarray columns C, an array of shape
+(blocks, width, m_rf), never as a dense M-by-L matrix: W[b*m_rf + m,
+b*width + w] = C[b, w, m], zero elsewhere, and L = blocks*width. That is
+(1, L, M) under FC and (L, 1, m_rf) under PC and for the disambiguation
+scan; a codebook stacks N of them. Other modules pass these arrays to
+``apply_combiner`` (W^H X) and ``apply_adjoint`` (W Q) and read only shapes.
 """
 
 from __future__ import annotations
@@ -54,47 +55,6 @@ class HadConfig:
         """Codebook size N = M/L for either architecture."""
         return self.num_antennas // self.rf_chains
 
-    @property
-    def alpha(self) -> float:
-        """Per-entry magnitude: 1/sqrt(L) under FC power splitting, 1 under PC."""
-        return 1.0 / math.sqrt(self.rf_chains) if self.architecture == FC else 1.0
-
-
-@dataclass(frozen=True)
-class CombinerSet:
-    """Ordered analog combiners plus the wrapped DFT phase grid behind them.
-
-    ``columns`` has shape (N, blocks, width, m_rf): combiner n is the dense
-    M-by-L matrix W with W[b*m_rf + m, b*width + w] = columns[n, b, w, m],
-    zero elsewhere. FC combiners are one block of L scaled DFT columns;
-    PC combiners are L blocks of one DFT column each.
-    """
-
-    columns: np.ndarray
-    phase_grid: np.ndarray
-    alpha: float
-    m_rf: int
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    @property
-    def rf_chains(self) -> int:
-        """L = blocks * width, the output channels of every combiner."""
-        blocks, width, _ = self.columns.shape[-3:]
-        return blocks * width
-
-    @property
-    def projector_scale(self) -> float:
-        """1/(alpha^2 * m_rf), the normalization turning W W^H into a projector."""
-        return 1.0 / (self.alpha**2 * self.m_rf)
-
-    def is_semi_unitary(self, gain: float) -> bool:
-        """Whether W^H W = gain * I for every combiner: C[b] C[b]^H per block."""
-        c = self.columns
-        gram = c @ c.conj().swapaxes(-1, -2)
-        return bool(np.allclose(gram, gain * np.eye(c.shape[-2]), atol=1e-8))
-
 
 @dataclass(frozen=True)
 class GainModel:
@@ -103,10 +63,6 @@ class GainModel:
     m_rf: int
     alpha: float
     psi_rule: str  # FC blocks share phase (psi = 0); PC blocks advance by m_rf*mu
-
-    @classmethod
-    def from_had(cls, cfg: HadConfig) -> "GainModel":
-        return cls(m_rf=cfg.m_rf, alpha=cfg.alpha, psi_rule=cfg.architecture)
 
     def psi(self, mu: float, ell: int) -> float:
         """Phase of subarray ``ell`` (1-based) relative to the first."""
@@ -135,8 +91,8 @@ def dft_column(n: int, m_rf: int) -> np.ndarray:
     return np.exp(1j * np.arange(m_rf) * dft_phase(n, m_rf))
 
 
-def build_fc_codebook(cfg: HadConfig) -> CombinerSet:
-    """Fully-connected codebook: N combiners of L consecutive DFT columns.
+def build_fc_codebook(cfg: HadConfig) -> np.ndarray:
+    """Fully-connected codebook, (N, 1, L, M): L consecutive DFT columns each.
 
     Each combiner is scaled by 1/sqrt(L) for power splitting; the union of all
     columns is the full M-point DFT matrix, so the set resolves the identity.
@@ -146,13 +102,11 @@ def build_fc_codebook(cfg: HadConfig) -> CombinerSet:
     m, l = cfg.num_antennas, cfg.rf_chains
     phases = np.array([dft_phase(c, m) for c in range(1, m + 1)])
     dft = np.exp(1j * np.outer(np.arange(m), phases))
-    columns = dft.T.reshape(cfg.n_combiners, 1, l, m) / math.sqrt(l)
-    return CombinerSet(columns=columns, phase_grid=phases,
-                       alpha=cfg.alpha, m_rf=cfg.m_rf)
+    return dft.T.reshape(cfg.n_combiners, 1, l, m) / math.sqrt(l)
 
 
-def build_pc_codebook(cfg: HadConfig) -> CombinerSet:
-    """Partially-connected single-phase codebook: N block-diagonal combiners.
+def build_pc_codebook(cfg: HadConfig) -> np.ndarray:
+    """Partially-connected single-phase codebook, (N, L, 1, m_rf).
 
     Combiner n repeats the n-th DFT column of the subarray on all L blocks,
     so every RF chain applies the identical phase progression.
@@ -162,8 +116,7 @@ def build_pc_codebook(cfg: HadConfig) -> CombinerSet:
     m_rf, l = cfg.m_rf, cfg.rf_chains
     phases = np.array([dft_phase(n, m_rf) for n in range(1, m_rf + 1)])
     dft = np.exp(1j * np.arange(m_rf) * phases[:, None])  # N = m_rf columns
-    return CombinerSet(columns=subarray_columns(np.repeat(dft, l, axis=0), l),
-                       phase_grid=phases, alpha=cfg.alpha, m_rf=cfg.m_rf)
+    return subarray_columns(np.repeat(dft, l, axis=0), l)
 
 
 def subarray_columns(steering, rf_chains: int) -> np.ndarray:
@@ -176,7 +129,7 @@ def subarray_columns(steering, rf_chains: int) -> np.ndarray:
     return steering.reshape(-1, rf_chains, 1, steering.shape[-1])
 
 
-def build_codebook(cfg: HadConfig) -> CombinerSet:
+def build_codebook(cfg: HadConfig) -> np.ndarray:
     return build_fc_codebook(cfg) if cfg.architecture == FC else build_pc_codebook(cfg)
 
 
@@ -213,14 +166,6 @@ class SectorSet:
 
     intervals: tuple  # per combiner, tuple of (lo_deg, hi_deg] pieces
     m_rf: int
-
-    def index_of(self, theta_deg: float) -> int:
-        """0-based index of the sector containing the angle; -1 if none."""
-        for n, pieces in enumerate(self.intervals):
-            for lo, hi in pieces:
-                if lo < theta_deg <= hi:
-                    return n
-        return -1
 
 
 def sectors(cfg: HadConfig, spacing_ratio: float = 0.5) -> SectorSet:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArrayConfig, SourceSet, steering_matrix
-from .combiners import CombinerSet, apply_combiner
+from .combiners import apply_combiner
 from .errors import ConfigError, SingularFim
 
 
@@ -16,20 +16,25 @@ class CrlbInputs:
     """Everything the bound formulas need; combiners present for the SPC case.
 
     Source powers are per unit noise variance: the harness draws noise with
-    sigma^2 = 1, and both bounds take that value.
+    sigma^2 = 1, and both bounds take that value. ``combiners`` is a
+    (N, blocks, width, m_rf) codebook whose combiners satisfy W^H W = (M/L) I.
     """
 
     array: ArrayConfig
     sources: SourceSet
     snapshots: int
-    combiners: CombinerSet | None = None
+    combiners: np.ndarray | None = None
 
     def __post_init__(self):
         if self.snapshots < 1:
             raise ConfigError("snapshots must be positive")
         if self.combiners is not None:
-            m, l = self.array.num_antennas, self.combiners.rf_chains
-            if not self.combiners.is_semi_unitary(m / l):
+            c, m = self.combiners, self.array.num_antennas
+            if c.ndim != 4 or c.shape[1] * c.shape[3] != m:
+                raise ConfigError(f"combiner columns {c.shape} do not span {m} antennas")
+            _, blocks, width, _ = c.shape
+            gram = c @ c.conj().swapaxes(-1, -2)  # W^H W, block by block
+            if not np.allclose(gram, m / (blocks * width) * np.eye(width), atol=1e-8):
                 raise ConfigError("combiner set must satisfy W^H W = (M/L) I")
 
 
@@ -40,11 +45,6 @@ class CrlbMatrix:
     matrix: np.ndarray
 
     @property
-    def root_deg(self) -> np.ndarray:
-        """Per-source root bound, degrees."""
-        return np.degrees(np.sqrt(np.diag(self.matrix)))
-
-    @property
     def pooled_root_deg(self) -> float:
         """Root of the source-averaged diagonal, comparable to pooled RMSE."""
         return float(np.degrees(np.sqrt(np.mean(np.diag(self.matrix)))))
@@ -52,11 +52,10 @@ class CrlbMatrix:
 
 def steering_derivative(array: ArrayConfig, sources: SourceSet) -> np.ndarray:
     """Columnwise derivative of the steering matrix w.r.t. angle in radians."""
-    steer = steering_matrix(array, sources)
     theta = np.radians(np.asarray(sources.angles_deg))
     m_idx = np.arange(array.num_antennas)[:, None]
     slope = 2.0 * np.pi * array.spacing_ratio * np.cos(theta)[None, :]
-    return 1j * m_idx * slope * steer.entries
+    return 1j * m_idx * slope * steering_matrix(array, sources)
 
 
 def _perp_projector(basis: np.ndarray) -> np.ndarray:
@@ -79,50 +78,55 @@ def _invert_fim(core: np.ndarray, prefactor: float) -> CrlbMatrix:
     return CrlbMatrix(matrix=crlb)
 
 
-def crlb_fd(inputs: CrlbInputs) -> CrlbMatrix:
-    """DoA bound for the fully-digital receiver with Gaussian sources.
+def _combined_bound(inputs: CrlbInputs, columns: np.ndarray) -> CrlbMatrix:
+    """Stochastic bound (Stoica & Nehorai, IEEE TASSP 1990) summed over combiners.
 
-    Evaluates 1/(2*K) * (Re{F^H P_perp F .* (Phi A^H Sigma^-1 A Phi)^T})^-1
-    with the snapshot covariance Sigma = A Phi A^H + I (sigma^2 = 1). The same
-    expression bounds the periodicity-based hybrid estimator when evaluated
-    with the per-segment snapshot count.
+    ``columns`` is a (N, blocks, width, m_rf) codebook with W^H W = (M/L) I,
+    and ``inputs.snapshots`` counts snapshots per combiner. Per combiner W,
+    with E = W^H A and G = W^H F, the output covariance is
+    Upsilon = E Phi E^H + (M/L) I (sigma^2 = 1) and the Fisher information
+    core is Re{G^H P_perp(E) G .* (Phi E^H Upsilon^-1 E Phi)^T}. Combiners
+    that null a source contribute nothing; their projector is formed through
+    a pseudo-inverse so the sum stays well defined. With R >= L sources every
+    P_perp(E) is zero, so the information is zero by structure.
     """
-    if inputs.combiners is not None:
-        raise ConfigError("full-array bound takes no combiner set")
-    a = steering_matrix(inputs.array, inputs.sources).entries
+    m = inputs.array.num_antennas
+    blocks, width, _ = columns.shape[-3:]
+    l, r = blocks * width, inputs.sources.count
+    if r >= l:
+        raise SingularFim(f"{r} sources leave no noise subspace in {l} outputs")
+    a = steering_matrix(inputs.array, inputs.sources)
     f = steering_derivative(inputs.array, inputs.sources)
     phi = inputs.sources.power_matrix
-    m = inputs.array.num_antennas
-    sigma = a @ phi @ a.conj().T + np.eye(m)
-    p_perp = _perp_projector(a)
-    left = f.conj().T @ p_perp @ f
-    right = phi @ a.conj().T @ np.linalg.solve(sigma, a) @ phi
-    core = np.real(left * right.T)
-    return _invert_fim(core, 1.0 / (2.0 * inputs.snapshots))
-
-
-def crlb_spc(inputs: CrlbInputs) -> CrlbMatrix:
-    """DoA bound for the single-phase partially-connected combiner set.
-
-    ``inputs.snapshots`` counts snapshots per combiner. Per combiner W, with
-    E = W^H A and G = W^H F, the output covariance is E Phi E^H + (M/L) I
-    (sigma^2 = 1) and the derivative term is G^H P_perp(E) G. Combiners that null
-    a source contribute nothing; their projector is formed through a
-    pseudo-inverse so the sum stays well defined.
-    """
-    if inputs.combiners is None:
-        raise ConfigError("combined-receiver bound requires a combiner set")
-    a = steering_matrix(inputs.array, inputs.sources).entries
-    f = steering_derivative(inputs.array, inputs.sources)
-    phi = inputs.sources.power_matrix
-    m = inputs.array.num_antennas
-    l = inputs.combiners.rf_chains
-    e = apply_combiner(inputs.combiners.columns, a)  # (N, L, R)
-    g = apply_combiner(inputs.combiners.columns, f)
+    e = apply_combiner(columns, a)  # (N, L, R)
+    g = apply_combiner(columns, f)
     e_h = e.conj().swapaxes(-1, -2)
     upsilon = e @ phi @ e_h + (m / l) * np.eye(l)
     left = g.conj().swapaxes(-1, -2) @ _perp_projector(e) @ g
     right = phi @ e_h @ np.linalg.solve(upsilon, e) @ phi
     core = np.real(left * right.swapaxes(-1, -2)).sum(axis=0)  # in combiner order
-    prefactor = m / (2.0 * inputs.snapshots * l)
-    return _invert_fim(core, prefactor)
+    return _invert_fim(core, m / (2.0 * inputs.snapshots * l))
+
+
+def crlb_fd(inputs: CrlbInputs) -> CrlbMatrix:
+    """DoA bound for the fully-digital receiver with Gaussian sources.
+
+    The combined bound with one identity combiner, M blocks of one unit
+    column: 1/(2*K) * (Re{F^H P_perp(A) F .* (Phi A^H Sigma^-1 A Phi)^T})^-1
+    with Sigma = A Phi A^H + I. The same expression bounds the
+    periodicity-based hybrid estimator when evaluated with the per-segment
+    snapshot count.
+    """
+    if inputs.combiners is not None:
+        raise ConfigError("full-array bound takes no combiner set")
+    return _combined_bound(inputs, np.ones((1, inputs.array.num_antennas, 1, 1)))
+
+
+def crlb_spc(inputs: CrlbInputs) -> CrlbMatrix:
+    """DoA bound for the single-phase partially-connected combiner set.
+
+    ``inputs.snapshots`` counts snapshots per combiner; see ``_combined_bound``.
+    """
+    if inputs.combiners is None:
+        raise ConfigError("combined-receiver bound requires a combiner set")
+    return _combined_bound(inputs, inputs.combiners)

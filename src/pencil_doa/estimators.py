@@ -17,18 +17,12 @@ import warnings
 import numpy as np
 
 from .arrays import ArrayConfig, SnapshotBlock, phase_from_angle
-from .combiners import (
-    PC,
-    CombinerSet,
-    HadConfig,
-    apply_adjoint,
-    apply_combiner,
-    subarray_columns,
-)
+from .combiners import PC, HadConfig, apply_adjoint, apply_combiner, subarray_columns
 from .errors import (
     AmbiguousGeometryError,
     ConfigError,
     LowSnrWarning,
+    PencilParamError,
     RankError,
     ShapeError,
 )
@@ -42,12 +36,18 @@ from .pencil import (
 )
 
 
-def _pencil_pipeline(snapshots, cfg: PencilConfig, spacing_ratio: float,
-                     dilation: int = 1) -> np.ndarray:
-    """augment -> subspace -> split -> eigenvalues -> angles, sorted ascending."""
-    _, coords, _ = svd_denoise(augment(snapshots, cfg.xi), cfg.num_sources)
-    left, right = split_pencil(coords, cfg.xi)
-    eigenvalues = pencil_eigenvalues(left, right, cfg.num_sources)
+def _pencil_pipeline(snapshots: np.ndarray, cfg: PencilConfig,
+                     spacing_ratio: float, dilation: int = 1) -> np.ndarray:
+    """augment -> subspace -> split -> eigenvalues -> angles, sorted ascending.
+
+    ``snapshots`` is (K, C), and xi must lie in [R, C-R].
+    """
+    r, c, xi = cfg.num_sources, snapshots.shape[1], cfg.xi
+    if not r <= xi <= c - r:
+        raise PencilParamError(f"xi={xi} outside [R, C-R] = [{r}, {c - r}] for C={c}")
+    _, coords, _ = svd_denoise(augment(snapshots, xi), r)
+    left, right = split_pencil(coords, xi)
+    eigenvalues = pencil_eigenvalues(left, right, r)
     return eigen_to_angles(eigenvalues, spacing_ratio, dilation=dilation)
 
 
@@ -57,29 +57,31 @@ def estimate_fd_mpm(x: SnapshotBlock, cfg: PencilConfig,
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[:, None]
-    if x.shape[0] != cfg.channel_count or x.shape[0] != array.num_antennas:
+    if x.shape[0] != array.num_antennas:
         raise ShapeError(
             f"block with {x.shape[0]} channels does not match configuration")
     return _pencil_pipeline(x.T, cfg, array.spacing_ratio)
 
 
-def pmpm_aggregate(q_blocks, codebook: CombinerSet) -> SnapshotBlock:
+def pmpm_aggregate(q_blocks, codebook: np.ndarray) -> SnapshotBlock:
     """Sum the digitally re-projected combiner outputs into one M-by-K block.
 
-    ``q_blocks`` stacks the N combiner outputs, (N, L, K). The digital
-    combiner matched to analog combiner W is ``codebook.projector_scale * W``.
-    With a signal repeated across segments, the projector completeness of the
+    ``q_blocks`` stacks the N combiner outputs, (N, L, K), of the (N, blocks,
+    width, m_rf) ``codebook``. The digital combiner matched to analog combiner
+    W is (L/M) W, with L/M = width/m_rf under either architecture. With a
+    signal repeated across segments, the projector completeness of the
     codebook makes the noiseless aggregate equal the full-array receive block.
     """
     q_blocks = np.asarray(q_blocks)
     if q_blocks.ndim != 3 or len(q_blocks) != len(codebook):
         raise ShapeError(
             f"combiner outputs {q_blocks.shape} for a codebook of {len(codebook)}")
-    terms = apply_adjoint(codebook.projector_scale * codebook.columns, q_blocks)
+    width, m_rf = codebook.shape[-2:]
+    terms = apply_adjoint(width / m_rf * codebook, q_blocks)
     return terms.sum(axis=0)  # in combiner order
 
 
-def estimate_pmpm(segments, codebook: CombinerSet, cfg: PencilConfig,
+def estimate_pmpm(segments, codebook: np.ndarray, cfg: PencilConfig,
                   array: ArrayConfig) -> np.ndarray:
     """DoAs from per-segment antenna blocks under a periodic source signal.
 
@@ -91,7 +93,7 @@ def estimate_pmpm(segments, codebook: CombinerSet, cfg: PencilConfig,
     if len(segments) != len(codebook):
         raise ShapeError(
             f"{len(segments)} segments for a codebook of {len(codebook)}")
-    y = pmpm_aggregate(apply_combiner(codebook.columns, segments), codebook)
+    y = pmpm_aggregate(apply_combiner(codebook, segments), codebook)
     return estimate_fd_mpm(y, cfg, array)
 
 
@@ -167,7 +169,7 @@ def resolve_ambiguity(columns: np.ndarray, segments, candidates: np.ndarray,
 
 def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
                      had: HadConfig, cfg: PencilConfig, array: ArrayConfig,
-                     codebook: CombinerSet) -> np.ndarray:
+                     codebook: np.ndarray) -> np.ndarray:
     """Two-stage DoA estimation for a partially-connected receiver.
 
     Stage 1 runs the single-phase codebook over the segments and solves the
@@ -182,14 +184,12 @@ def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
     """
     if had.architecture != PC:
         raise ConfigError("single-phase estimation requires the PC architecture")
-    if cfg.channel_count != had.rf_chains:
-        raise ConfigError("pencil channel count must equal the RF-chain count")
     segments = np.asarray(segments)
     if len(segments) != len(codebook):
         raise ShapeError(
             f"{len(segments)} segments for a codebook of {len(codebook)}")
 
-    stage1 = apply_combiner(codebook.columns, segments)  # (N, L, K)
+    stage1 = apply_combiner(codebook, segments)  # (N, L, K)
     try:
         base = _pencil_pipeline(stage1.swapaxes(1, 2).reshape(-1, had.rf_chains),
                                 cfg, array.spacing_ratio, dilation=had.m_rf)

@@ -210,18 +210,14 @@ class _ScenarioRunner:
         if scenario in ("pmpm_fc", "pmpm_pc"):
             self.k = point.ktilde // self.had.n_combiners
             xi_default = cfg.m // 2
-            channels = cfg.m
         elif scenario in ("spc_mpm", "crlb_spc"):
             k1, self.k2_total = _split_budget(cfg, point.ktilde)
             self.k = k1 // self.had.n_combiners
             xi_default = cfg.l // 2
-            channels = cfg.l
         else:
             self.k = point.ktilde
             xi_default = cfg.m // 2
-            channels = cfg.m
         self.xi = cfg.xi if cfg.xi is not None else xi_default
-        self.channels = channels
 
     @property
     def feasible(self) -> bool:
@@ -229,9 +225,6 @@ class _ScenarioRunner:
             g_total = disambiguation_combiners(self.had, self.num_sources)
             return self.k >= 1 and self.k2_total >= g_total
         return self.k >= 1
-
-    def pencil_config(self) -> PencilConfig:
-        return PencilConfig(self.xi, self.num_sources, self.channels)
 
     def _segments(self, sources: SourceSet, steer, rng: RngSpec,
                   periodic: bool) -> list:
@@ -254,7 +247,7 @@ class _ScenarioRunner:
                                   cfg.edge_offset_deg)
         sources = SourceSet(angles, point.powers)
         steer = steering_matrix(self.array, sources)
-        pcfg = self.pencil_config()
+        pcfg = PencilConfig(self.xi, self.num_sources)
 
         if cfg.scenario == "fd_mpm":
             sig = generate_signals(sources, self.k, 1, False, rng.child("signal"))[0]

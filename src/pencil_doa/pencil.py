@@ -33,19 +33,18 @@ PINV_RCOND = 1e-10
 
 @dataclass(frozen=True)
 class PencilConfig:
-    """Pencil parameter xi, model order R, and per-snapshot channel count C."""
+    """Pencil parameter xi and model order R.
+
+    xi must lie in [R, C-R] for the C channels of each snapshot; the
+    estimators check that against the block they are given.
+    """
 
     xi: int
     num_sources: int
-    channel_count: int
 
     def __post_init__(self):
-        r, c, xi = self.num_sources, self.channel_count, self.xi
-        if r < 1:
+        if self.num_sources < 1:
             raise PencilParamError("num_sources must be positive")
-        if not r <= xi <= c - r:
-            raise PencilParamError(
-                f"xi={xi} outside [R, C-R] = [{r}, {c - r}] for C={c}")
 
 
 def hankel(x: np.ndarray, xi: int) -> np.ndarray:

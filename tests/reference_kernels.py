@@ -23,6 +23,16 @@ the package as it was before that change: W^H X as a dense matmul, one
 re-projection per combiner, the per-slot ``divmod`` scan, and the bound
 through the M-by-M source covariance.
 
+``crlb_fd`` is the full-array bound as it stood before both bounds came to
+share one kernel, copied verbatim: A Phi A^H + I and its own projector.
+
+``SteeringMatrix``, ``steering_matrix``, ``HadConfig``, ``CrlbMatrix`` and
+``steering_derivative`` are the seed receiver model, copied verbatim, so
+that these kernels import nothing that the package has since reshaped: the
+package's steering matrix is a plain array, its ``HadConfig`` has no
+``alpha``, and its ``CrlbMatrix`` has no ``root_deg``. The builders take
+this module's ``HadConfig``.
+
 Do not edit them to follow the package. ``dense`` is the one helper written
 for the tests: it expands the package's block-structured combiner columns
 into the dense matrices these kernels take.
@@ -38,15 +48,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import block_diag
 
-from pencil_doa.arrays import (
-    ArrayConfig,
-    SnapshotBlock,
-    SourceSet,
-    phase_from_angle,
-    steering_matrix,
-)
-from pencil_doa.combiners import FC, PC, HadConfig, dft_column, dft_phase
-from pencil_doa.crlb import CrlbMatrix, steering_derivative
+from pencil_doa.arrays import ArrayConfig, SnapshotBlock, SourceSet, phase_from_angle
+from pencil_doa.combiners import FC, PC, dft_column, dft_phase
 from pencil_doa.errors import (
     AmbiguousGeometryError,
     ConfigError,
@@ -62,6 +65,89 @@ from pencil_doa.errors import (
 
 # Relative singular-value cutoff for pseudo-inverses and rank decisions.
 PINV_RCOND = 1e-10
+
+
+@dataclass(frozen=True)
+class SteeringMatrix:
+    """Array response columns (one per source) and the phases that built them."""
+
+    entries: np.ndarray  # (M, R) complex, row m is exp(1j*m*mu_r)
+    phases: np.ndarray  # (R,) mu_r in radians
+
+
+def steering_matrix(cfg: ArrayConfig, sources: SourceSet) -> SteeringMatrix:
+    """Assemble the M-by-R steering matrix for the given sources.
+
+    Column r holds ``exp(1j*(m-1)*mu_r)`` for antenna index ``m``; every entry
+    has unit modulus and the first row is all ones.
+    """
+    mu = np.asarray(phase_from_angle(np.array(sources.angles_deg), cfg.spacing_ratio))
+    # spacing_ratio <= 0.5 keeps |mu| < pi for angles inside (-90, 90)
+    assert np.all(np.abs(mu) < np.pi)
+    m_idx = np.arange(cfg.num_antennas)
+    entries = np.exp(1j * np.outer(m_idx, mu))
+    return SteeringMatrix(entries=entries, phases=mu)
+
+
+@dataclass(frozen=True)
+class HadConfig:
+    """Hybrid receiver shape: architecture, antenna count M, RF-chain count L."""
+
+    architecture: str
+    num_antennas: int
+    rf_chains: int
+
+    def __post_init__(self):
+        arch = self.architecture.lower()
+        object.__setattr__(self, "architecture", arch)
+        if arch not in (FC, PC):
+            raise ConfigError(f"unknown architecture {self.architecture!r}")
+        m, l = self.num_antennas, self.rf_chains
+        if l < 1 or l >= m:
+            raise ConfigError("rf_chains must satisfy 1 <= L < M")
+        if m % l != 0:
+            raise ConfigError("num_antennas must be a multiple of rf_chains")
+
+    @property
+    def m_rf(self) -> int:
+        """Antennas per subarray: M for FC, M/L for PC."""
+        return self.num_antennas if self.architecture == FC else self.num_antennas // self.rf_chains
+
+    @property
+    def n_combiners(self) -> int:
+        """Codebook size N = M/L for either architecture."""
+        return self.num_antennas // self.rf_chains
+
+    @property
+    def alpha(self) -> float:
+        """Per-entry magnitude: 1/sqrt(L) under FC power splitting, 1 under PC."""
+        return 1.0 / math.sqrt(self.rf_chains) if self.architecture == FC else 1.0
+
+
+@dataclass(frozen=True)
+class CrlbMatrix:
+    """R-by-R bound on the DoA covariance, in radians squared."""
+
+    matrix: np.ndarray
+
+    @property
+    def root_deg(self) -> np.ndarray:
+        """Per-source root bound, degrees."""
+        return np.degrees(np.sqrt(np.diag(self.matrix)))
+
+    @property
+    def pooled_root_deg(self) -> float:
+        """Root of the source-averaged diagonal, comparable to pooled RMSE."""
+        return float(np.degrees(np.sqrt(np.mean(np.diag(self.matrix)))))
+
+
+def steering_derivative(array: ArrayConfig, sources: SourceSet) -> np.ndarray:
+    """Columnwise derivative of the steering matrix w.r.t. angle in radians."""
+    steer = steering_matrix(array, sources)
+    theta = np.radians(np.asarray(sources.angles_deg))
+    m_idx = np.arange(array.num_antennas)[:, None]
+    slope = 2.0 * np.pi * array.spacing_ratio * np.cos(theta)[None, :]
+    return 1j * m_idx * slope * steer.entries
 
 
 @dataclass(frozen=True)
@@ -469,6 +555,28 @@ def _invert_fim(core: np.ndarray, prefactor: float) -> CrlbMatrix:
     if np.any(np.linalg.eigvalsh(crlb) <= 0.0):
         raise SingularFim("bound matrix is not positive definite")
     return CrlbMatrix(matrix=crlb)
+
+
+def crlb_fd(inputs: CrlbInputs) -> CrlbMatrix:
+    """DoA bound for the fully-digital receiver with Gaussian sources.
+
+    Evaluates 1/(2*K) * (Re{F^H P_perp F .* (Phi A^H Sigma^-1 A Phi)^T})^-1
+    with the snapshot covariance Sigma = A Phi A^H + I (sigma^2 = 1). The same
+    expression bounds the periodicity-based hybrid estimator when evaluated
+    with the per-segment snapshot count.
+    """
+    if inputs.combiners is not None:
+        raise ConfigError("full-array bound takes no combiner set")
+    a = steering_matrix(inputs.array, inputs.sources).entries
+    f = steering_derivative(inputs.array, inputs.sources)
+    phi = inputs.sources.power_matrix
+    m = inputs.array.num_antennas
+    sigma = a @ phi @ a.conj().T + np.eye(m)
+    p_perp = _perp_projector(a)
+    left = f.conj().T @ p_perp @ f
+    right = phi @ a.conj().T @ np.linalg.solve(sigma, a) @ phi
+    core = np.real(left * right.T)
+    return _invert_fim(core, 1.0 / (2.0 * inputs.snapshots))
 
 
 def crlb_spc(inputs: CrlbInputs) -> CrlbMatrix:

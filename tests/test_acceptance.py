@@ -129,26 +129,26 @@ def test_criterion_1_noiseless_exactness():
         rng = RngSpec(9000 + i)
 
         s = generate_signals(sources, 1, 1, False, rng.child("fd"))[0]
-        est = estimate_fd_mpm(steer.entries @ s, PencilConfig(m // 2, r, m),
+        est = estimate_fd_mpm(steer @ s, PencilConfig(m // 2, r),
                               array)
         worst = max(worst, float(np.max(np.abs(est - angles))))
 
         had_fc = HadConfig("fc", m, l)
         n = had_fc.n_combiners
         periodic = generate_signals(sources, 1, n, True, rng.child("pmpm"))
-        segments = [steer.entries @ block for block in periodic]
+        segments = [steer @ block for block in periodic]
         est = estimate_pmpm(segments, build_fc_codebook(had_fc),
-                            PencilConfig(m // 2, r, m), array)
+                            PencilConfig(m // 2, r), array)
         worst = max(worst, float(np.max(np.abs(est - angles))))
 
         had_pc = HadConfig("pc", m, l)
         stage1 = generate_signals(sources, 1, n, False, rng.child("spc"))
-        segments = [steer.entries @ block for block in stage1]
+        segments = [steer @ block for block in stage1]
         g_total = math.ceil(had_pc.m_rf * r / l)
         s2 = generate_signals(sources, g_total * 128, 1, False,
                               rng.child("spc2"))[0]
-        est = estimate_spc_mpm(segments, steer.entries @ s2, had_pc,
-                               PencilConfig(l // 2, r, l), array,
+        est = estimate_spc_mpm(segments, steer @ s2, had_pc,
+                               PencilConfig(l // 2, r), array,
                                build_pc_codebook(had_pc))
         worst = max(worst, float(np.max(np.abs(est - angles))))
     elapsed = time.perf_counter() - start
@@ -171,11 +171,11 @@ def test_criterion_2_aggregation_identity():
     for arch, build in (("fc", build_fc_codebook), ("pc", build_pc_codebook)):
         had = HadConfig(arch, m, l)
         codebook = build(had)
-        segments = [steer.entries @ s for _ in range(had.n_combiners)]
-        q_blocks = apply_combiner(codebook.columns, np.asarray(segments))
+        segments = [steer @ s for _ in range(had.n_combiners)]
+        q_blocks = apply_combiner(codebook, np.asarray(segments))
         y = pmpm_aggregate(q_blocks, codebook)
         worst_identity = max(worst_identity,
-                             float(np.linalg.norm(y - steer.entries @ s)))
+                             float(np.linalg.norm(y - steer @ s)))
 
     had = HadConfig("pc", m, l)
     codebook = build_pc_codebook(had)
@@ -183,7 +183,7 @@ def test_criterion_2_aggregation_identity():
     while count < 10_000:
         noise = [generate_noise(m, k, RngSpec(21).child(t, n))
                  for n in range(had.n_combiners)]
-        q_blocks = apply_combiner(codebook.columns, np.asarray(noise))
+        q_blocks = apply_combiner(codebook, np.asarray(noise))
         y = pmpm_aggregate(q_blocks, codebook)
         total += float(np.sum(np.abs(y) ** 2))
         count += y.size
@@ -358,7 +358,7 @@ def _numeric_crlb_theta(m, theta_deg, power, snapshots, h=1e-6):
     def cov(params):
         theta, p, nv = params
         src = SourceSet((math.degrees(theta),), (p,))
-        a = steering_matrix(cfg, src).entries
+        a = steering_matrix(cfg, src)
         return p * (a @ a.conj().T) + nv * np.eye(m)
 
     base = np.array([math.radians(theta_deg), power, 1.0])

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pencil_doa import (
+    ArrayConfig,
+    CrlbInputs,
     GainModel,
     HadConfig,
+    SourceSet,
     apply_combiner,
     build_fc_codebook,
     build_pc_codebook,
@@ -50,9 +53,8 @@ class TestHadConfig:
     def test_derived_quantities(self):
         fc = HadConfig("fc", 32, 8)
         assert (fc.m_rf, fc.n_combiners) == (32, 4)
-        assert fc.alpha == pytest.approx(1 / math.sqrt(8))
         pc = HadConfig("pc", 32, 8)
-        assert (pc.m_rf, pc.n_combiners, pc.alpha) == (4, 4, 1.0)
+        assert (pc.m_rf, pc.n_combiners) == (4, 4)
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
@@ -67,8 +69,8 @@ class TestFcCodebook:
     def test_explicit_four_point_dft(self):
         cb = build_fc_codebook(HadConfig("fc", 4, 2))
         assert len(cb) == 2
-        assert cb.columns.shape == (2, 1, 2, 4)
-        matrices = dense(cb.columns)
+        assert cb.shape == (2, 1, 2, 4)
+        matrices = dense(cb)
         # column c of combiner n is the ((n-1)L + c)-th DFT column over sqrt(L)
         for n in range(2):
             for c in range(2):
@@ -81,12 +83,12 @@ class TestFcCodebook:
     def test_completeness_identity(self):
         for m, l in ((4, 2), (16, 4), (32, 8)):
             cb = build_fc_codebook(HadConfig("fc", m, l))
-            total = sum(w @ w.conj().T for w in dense(cb.columns)) * cb.projector_scale
+            total = sum(w @ w.conj().T for w in dense(cb)) * (l / m)
             assert np.linalg.norm(total - np.eye(m)) < 1e-10
 
     def test_entry_modulus(self):
         cb = build_fc_codebook(HadConfig("fc", 6, 3))
-        for w in dense(cb.columns):
+        for w in dense(cb):
             npt.assert_allclose(np.abs(w), 1 / math.sqrt(3), atol=1e-12)
 
     def test_wrong_architecture(self):
@@ -97,8 +99,8 @@ class TestFcCodebook:
 class TestPcCodebook:
     def test_first_combiner_all_ones_blocks(self):
         cb = build_pc_codebook(HadConfig("pc", 8, 2))
-        assert cb.columns.shape == (4, 2, 1, 4)
-        w1 = dense(cb.columns[0])
+        assert cb.shape == (4, 2, 1, 4)
+        w1 = dense(cb[0])
         assert w1.shape == (8, 2)
         npt.assert_allclose(w1[:4, 0], np.ones(4))
         npt.assert_allclose(w1[4:, 1], np.ones(4))
@@ -106,22 +108,26 @@ class TestPcCodebook:
 
     def test_second_combiner_quarter_turns(self):
         cb = build_pc_codebook(HadConfig("pc", 8, 2))
-        npt.assert_allclose(dense(cb.columns[1])[:4, 0], [1.0, 1.0j, -1.0, -1.0j],
+        npt.assert_allclose(dense(cb[1])[:4, 0], [1.0, 1.0j, -1.0, -1.0j],
                             atol=1e-12)
 
     def test_orthogonality_and_completeness(self):
         cfg = HadConfig("pc", 8, 2)
         cb = build_pc_codebook(cfg)
-        for w in dense(cb.columns):
+        for w in dense(cb):
             npt.assert_allclose(w.conj().T @ w, 4.0 * np.eye(2), atol=1e-10)
-        total = sum(w @ w.conj().T for w in dense(cb.columns)) / 4.0
+        total = sum(w @ w.conj().T for w in dense(cb)) / 4.0
         assert np.linalg.norm(total - np.eye(8)) < 1e-10
 
     def test_semi_unitary_check(self):
+        # the bound inputs accept a codebook only if W^H W = (M/L) I
         cb = build_pc_codebook(HadConfig("pc", 8, 2))
-        assert cb.rf_chains == 2
-        assert cb.is_semi_unitary(4.0)
-        assert not cb.is_semi_unitary(2.0)
+        array, sources = ArrayConfig(8, 0.5), SourceSet((10.0,), (1.0,))
+        assert CrlbInputs(array, sources, 4, combiners=cb).combiners is cb
+        with pytest.raises(ConfigError):  # W^H W = 2 I
+            CrlbInputs(array, sources, 4, combiners=cb / math.sqrt(2.0))
+        with pytest.raises(ConfigError):  # one block of 4 covers 4 of 8 antennas
+            CrlbInputs(array, sources, 4, combiners=cb[:, :1])
 
 
 class TestGain:
@@ -209,12 +215,12 @@ class TestApplyCombiner:
         cb = build_pc_codebook(HadConfig("pc", 8, 2))
         c = 0.7 - 0.2j
         x = np.full((8, 3), c)
-        out = apply_combiner(cb.columns[0], x)
+        out = apply_combiner(cb[0], x)
         npt.assert_allclose(out, 4 * c, atol=1e-12)
 
     def test_zero_block(self):
         cb = build_pc_codebook(HadConfig("pc", 8, 2))
-        out = apply_combiner(cb.columns[1], np.zeros((8, 2)))
+        out = apply_combiner(cb[1], np.zeros((8, 2)))
         npt.assert_array_equal(out, 0.0)
 
     def test_matches_triple_loop(self):
@@ -237,9 +243,9 @@ class TestApplyCombiner:
         gen = np.random.default_rng(4)
         cb = build_pc_codebook(HadConfig("pc", 12, 3))
         x = gen.standard_normal((len(cb), 12, 5))
-        out = apply_combiner(cb.columns, x)
+        out = apply_combiner(cb, x)
         assert out.shape == (len(cb), 3, 5)
-        for n, w in enumerate(dense(cb.columns)):
+        for n, w in enumerate(dense(cb)):
             npt.assert_allclose(out[n], w.conj().T @ x[n], rtol=0, atol=1e-12)
 
     def test_adjoint_is_dense_product(self):
@@ -247,8 +253,8 @@ class TestApplyCombiner:
         for cb in (build_fc_codebook(HadConfig("fc", 8, 2)),
                    build_pc_codebook(HadConfig("pc", 8, 2))):
             q = gen.standard_normal((len(cb), 2, 3)) + 1j
-            out = apply_adjoint(cb.columns, q)
-            for n, w in enumerate(dense(cb.columns)):
+            out = apply_adjoint(cb, q)
+            for n, w in enumerate(dense(cb)):
                 npt.assert_allclose(out[n], w @ q[n], rtol=0, atol=1e-12)
 
     def test_shape_error(self):

@@ -3,6 +3,10 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_kernels as ref
 
 from pencil_doa import (
     ArrayConfig,
@@ -34,7 +38,7 @@ def numeric_crlb_theta(m, theta_deg, power, snapshots, h=1e-6):
     def cov(params):
         theta, p, nv = params
         src = SourceSet((math.degrees(theta),), (p,))
-        a = steering_matrix(cfg, src).entries
+        a = steering_matrix(cfg, src)
         return p * (a @ a.conj().T) + nv * np.eye(m)
 
     base = np.array([math.radians(theta_deg), power, 1.0])
@@ -69,7 +73,7 @@ class TestSteeringDerivative:
             h = 1e-5  # radians
             up = steering_matrix(cfg, SourceSet((theta + math.degrees(h),), (1.0,)))
             dn = steering_matrix(cfg, SourceSet((theta - math.degrees(h),), (1.0,)))
-            fd = (up.entries - dn.entries) / (2 * h)
+            fd = (up - dn) / (2 * h)
             assert np.max(np.abs(fd[:, 0] - f[:, 0])) < 1e-6
 
 
@@ -118,6 +122,45 @@ class TestCrlbFd:
         with pytest.raises(SingularFim):
             _invert_fim(np.zeros((2, 2)), 1.0)
 
+    def test_no_noise_subspace_raises(self):
+        # R >= M sources span the array space, so P_perp(A) = 0 and the
+        # information is zero by structure; evaluated anyway, M = 2 with two
+        # sources gives a bound of about 5e7 deg made of rounding
+        for m, angles in ((2, (0.0, 21.0)), (4, (-50.0, -10.0, 20.0, 60.0, 75.0))):
+            src = SourceSet(angles, (10.0,) * len(angles))
+            with pytest.raises(SingularFim):
+                crlb_fd(CrlbInputs(ArrayConfig(m, 0.5), src, 64))
+        crlb_fd(CrlbInputs(ArrayConfig(2, 0.5), SourceSet((21.0,), (10.0,)), 64))
+
+
+def bound_or_error(bound, inputs):
+    try:
+        return bound(inputs).matrix
+    except SingularFim as exc:
+        return type(exc)
+
+
+class TestCrlbFdMatchesFrozenKernel:
+    """The shared kernel under the identity combiner against the frozen
+    full-array kernel: the same bits, or the same exception."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bitwise(self, data):
+        m = data.draw(st.integers(2, 128))
+        r = data.draw(st.integers(1, m - 1))
+        angles = data.draw(st.lists(st.floats(-89.0, 89.0), min_size=r,
+                                    max_size=r, unique=True))
+        powers = data.draw(st.lists(st.floats(1e-2, 1e3), min_size=r, max_size=r))
+        k = data.draw(st.sampled_from([1, 3, 16, 128]))
+        array, sources = ArrayConfig(m, 0.5), SourceSet(angles, powers)
+        got = bound_or_error(crlb_fd, CrlbInputs(array, sources, k))
+        want = bound_or_error(ref.crlb_fd, ref.CrlbInputs(array, sources, k))
+        if isinstance(got, type) or isinstance(want, type):
+            assert got is want
+        else:
+            npt.assert_array_equal(got, want)
+
 
 class TestCrlbSpc:
     def setup_method(self):
@@ -153,12 +196,22 @@ class TestCrlbSpc:
         with pytest.raises(ConfigError):
             crlb_spc(CrlbInputs(self.cfg, SourceSet((0.0,), (1.0,)), 8))
 
+    def test_no_noise_subspace_raises(self):
+        # with R >= L sources each E = W^H A spans all L outputs, so every
+        # P_perp(E) is zero and so is the information
+        cfg, cb = ArrayConfig(16, 0.5), build_pc_codebook(HadConfig("pc", 16, 2))
+        for angles in ((0.0, 21.0), (-40.0, 0.0, 21.0)):
+            src = SourceSet(angles, (10.0,) * len(angles))
+            with pytest.raises(SingularFim):
+                crlb_spc(CrlbInputs(cfg, src, 7, combiners=cb))
+        crlb_spc(CrlbInputs(cfg, SourceSet((21.0,), (10.0,)), 7, combiners=cb))
+
     def test_estimator_respects_bound_across_angles(self):
         # the estimator cannot beat its bound (finite-trial slack 10%)
         m, l, ktot = 32, 8, 128
         k2 = ktot // 8
         k = (ktot - k2) // self.had.n_combiners
-        pcfg = PencilConfig(l // 2, 1, l)
+        pcfg = PencilConfig(l // 2, 1)
         for theta in (-40.0, 0.0, 55.0):
             src = SourceSet((theta,), (100.0,))
             sm = steering_matrix(self.cfg, src)
@@ -169,11 +222,11 @@ class TestCrlbSpc:
                 rng = RngSpec(61).child(int(theta), t)
                 sigs = generate_signals(src, k, self.had.n_combiners, False,
                                         rng.child("signal"))
-                segs = [sm.entries @ sigs[i]
+                segs = [sm @ sigs[i]
                         + generate_noise(m, k, rng.child("noise", i))
                         for i in range(self.had.n_combiners)]
                 s2 = generate_signals(src, k2, 1, False, rng.child("signal2"))[0]
-                block2 = sm.entries @ s2 + generate_noise(m, k2, rng.child("noise2"))
+                block2 = sm @ s2 + generate_noise(m, k2, rng.child("noise2"))
                 try:
                     est = estimate_spc_mpm(segs, block2, self.had, pcfg,
                                            self.cfg, codebook=self.cb)

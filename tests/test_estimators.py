@@ -16,6 +16,7 @@ from pencil_doa import (
     build_disambiguation,
     build_fc_codebook,
     build_pc_codebook,
+    dft_phase,
     estimate_fd_mpm,
     estimate_pmpm,
     estimate_spc_mpm,
@@ -60,7 +61,7 @@ class TestFdMpm:
         src = SourceSet((30.0,), (1.0,))
         sm = steering_matrix(cfg, src)
         s = np.array([[0.4 - 1.1j]])
-        est = estimate_fd_mpm(sm.entries @ s, PencilConfig(4, 1, 8), cfg)
+        est = estimate_fd_mpm(sm @ s, PencilConfig(4, 1), cfg)
         npt.assert_allclose(est, [30.0], atol=1e-6)
 
     def test_four_sources_noiseless(self):
@@ -69,27 +70,27 @@ class TestFdMpm:
         src = SourceSet(angles, (1.0,) * 4)
         sm = steering_matrix(cfg, src)
         s = generate_signals(src, 3, 1, False, RngSpec(8))[0]
-        est = estimate_fd_mpm(sm.entries @ s, PencilConfig(8, 4, 16), cfg)
+        est = estimate_fd_mpm(sm @ s, PencilConfig(8, 4), cfg)
         npt.assert_allclose(est, angles, atol=1e-6)
 
     def test_rmse_at_high_snr(self):
         cfg = ArrayConfig(32, 0.5)
         src = SourceSet((0.0,), (100.0,))
         sm = steering_matrix(cfg, src)
-        pcfg = PencilConfig(16, 1, 32)
+        pcfg = PencilConfig(16, 1)
 
         def trial(t):
             rng = RngSpec(41).child(t)
             s = generate_signals(src, 128, 1, False, rng.child("signal"))[0]
             z = generate_noise(32, 128, rng.child("noise"))
-            return estimate_fd_mpm(sm.entries @ s + z, pcfg, cfg)
+            return estimate_fd_mpm(sm @ s + z, pcfg, cfg)
 
         assert monte_carlo_rmse(trial, (0.0,), 200) <= 0.01
 
     def test_channel_mismatch(self):
         cfg = ArrayConfig(8, 0.5)
         with pytest.raises(ShapeError):
-            estimate_fd_mpm(np.zeros((6, 2)), PencilConfig(4, 1, 8), cfg)
+            estimate_fd_mpm(np.zeros((6, 2)), PencilConfig(4, 1), cfg)
 
 
 class TestPmpmAggregate:
@@ -102,16 +103,16 @@ class TestPmpmAggregate:
         had = HadConfig(arch, m, l)
         cb = build_fc_codebook(had) if arch == "fc" else build_pc_codebook(had)
         s = generate_signals(src, k, 1, False, RngSpec(2))[0]
-        segments = [sm.entries @ s for _ in range(had.n_combiners)]
-        q = apply_combiner(cb.columns, np.asarray(segments))
+        segments = [sm @ s for _ in range(had.n_combiners)]
+        q = apply_combiner(cb, np.asarray(segments))
         y = pmpm_aggregate(q, cb)
-        assert np.linalg.norm(y - sm.entries @ s) < 1e-10
+        assert np.linalg.norm(y - sm @ s) < 1e-10
 
     def test_digital_combiner_inverts_analog(self):
         had = HadConfig("fc", 16, 4)
         cb = build_fc_codebook(had)
-        for w_a in dense(cb.columns):
-            w_d = cb.projector_scale * w_a
+        for w_a in dense(cb):
+            w_d = (4 / 16) * w_a  # L/M
             npt.assert_allclose(w_d.conj().T @ w_a, np.eye(4), atol=1e-10)
 
     def test_aggregate_noise_unit_variance(self):
@@ -124,7 +125,7 @@ class TestPmpmAggregate:
         while count < 10_000:
             segs = [generate_noise(m, k, RngSpec(6).child(t, n))
                     for n in range(had.n_combiners)]
-            q = apply_combiner(cb.columns, np.asarray(segs))
+            q = apply_combiner(cb, np.asarray(segs))
             y = pmpm_aggregate(q, cb)
             total += float(np.sum(np.abs(y) ** 2))
             count += y.size
@@ -148,8 +149,8 @@ class TestEstimatePmpm:
             had = HadConfig(arch, m, l)
             cb = build_fc_codebook(had) if arch == "fc" else build_pc_codebook(had)
             s = generate_signals(src, 1, 1, False, RngSpec(3))[0]
-            segments = [sm.entries @ s for _ in range(had.n_combiners)]
-            est = estimate_pmpm(segments, cb, PencilConfig(16, 2, m), cfg)
+            segments = [sm @ s for _ in range(had.n_combiners)]
+            est = estimate_pmpm(segments, cb, PencilConfig(16, 2), cfg)
             npt.assert_allclose(est, (-15.0, 35.0), atol=1e-6)
 
     def test_rmse_and_bound_at_high_snr(self):
@@ -167,9 +168,9 @@ class TestEstimatePmpm:
         def trial(t):
             rng = RngSpec(43).child(t)
             sigs = generate_signals(src, k, n, True, rng.child("signal"))
-            segs = [sm.entries @ sigs[i] + generate_noise(m, k, rng.child("noise", i))
+            segs = [sm @ sigs[i] + generate_noise(m, k, rng.child("noise", i))
                     for i in range(n)]
-            return estimate_pmpm(segs, cb, PencilConfig(16, 1, m), cfg)
+            return estimate_pmpm(segs, cb, PencilConfig(16, 1), cfg)
 
         level = monte_carlo_rmse(trial, (0.0,), 200)
         bound = crlb_fd(CrlbInputs(cfg, src, k)).pooled_root_deg
@@ -188,10 +189,10 @@ class TestEstimatePmpm:
         cb_fc = build_fc_codebook(HadConfig("fc", m, l))
         cb_pc = build_pc_codebook(HadConfig("pc", m, l))
         n = m // l
-        pcfg = PencilConfig(16, 1, m)
+        pcfg = PencilConfig(16, 1)
 
         s = generate_signals(src, k, 1, False, RngSpec(4))[0]
-        clean = [sm.entries @ s for _ in range(n)]
+        clean = [sm @ s for _ in range(n)]
         est_fc = estimate_pmpm(clean, cb_fc, pcfg, cfg)
         est_pc = estimate_pmpm(clean, cb_pc, pcfg, cfg)
         npt.assert_allclose(est_fc, est_pc, atol=1e-9)
@@ -200,7 +201,7 @@ class TestEstimatePmpm:
             def run(t):
                 rng = RngSpec(44).child(t)
                 sigs = generate_signals(src, k, n, True, rng.child("signal"))
-                segs = [sm.entries @ sigs[i]
+                segs = [sm @ sigs[i]
                         + generate_noise(m, k, rng.child("noise", i))
                         for i in range(n)]
                 return estimate_pmpm(segs, codebook, pcfg, cfg)
@@ -298,13 +299,13 @@ class TestResolveAmbiguity:
         theta = math.degrees(math.asin(0.25))  # on the m_rf = 4 beam grid
         src = SourceSet((theta,), (2.0,))
         sm = steering_matrix(cfg, src)
-        mu = sm.phases[0]
+        mu = phase_from_angle(np.array(src.angles_deg), 0.5)[0]
 
         cands = ambiguity_set([theta], m_rf, 0.5)
         k2 = 16
         columns = build_disambiguation(cands, had)
         s = generate_signals(src, k2, 1, False, RngSpec(9))[0]
-        segments = [sm.entries @ s]
+        segments = [sm @ s]
 
         outputs = apply_combiner(columns[0], segments[0])
         mean_power = float(np.mean(np.abs(s) ** 2))
@@ -374,12 +375,12 @@ class TestResolveAmbiguity:
             src = SourceSet((theta,), (10.0,))
             sm = steering_matrix(cfg, src)
             sigs = generate_signals(src, k, had.n_combiners, False, rng.child("signal"))
-            segs = [sm.entries @ sigs[i] + generate_noise(m, k, rng.child("noise", i))
+            segs = [sm @ sigs[i] + generate_noise(m, k, rng.child("noise", i))
                     for i in range(had.n_combiners)]
             s2 = generate_signals(src, k2, 1, False, rng.child("signal2"))[0]
-            block2 = sm.entries @ s2 + generate_noise(m, k2, rng.child("noise2"))
+            block2 = sm @ s2 + generate_noise(m, k2, rng.child("noise2"))
             try:
-                est = estimate_spc_mpm(segs, block2, had, PencilConfig(4, 1, l),
+                est = estimate_spc_mpm(segs, block2, had, PencilConfig(4, 1),
                                        cfg, codebook=cb)
             except ESTIMATOR_FAILURES:
                 continue
@@ -402,22 +403,23 @@ class TestEstimateSpcMpm:
         cb = build_pc_codebook(had)
         rng = RngSpec(10)
         sigs = generate_signals(src, 1, had.n_combiners, False, rng.child("s"))
-        segments = [sm.entries @ b for b in sigs]
+        segments = [sm @ b for b in sigs]
 
         # stage-1 estimate alone is folded onto the dilated-array grid
         snaps = []
-        for q in apply_combiner(cb.columns, np.asarray(segments)):
+        for q in apply_combiner(cb, np.asarray(segments)):
             snaps.extend(q[:, i] for i in range(q.shape[1]))
-        base = _pencil_pipeline(snaps, PencilConfig(4, 1, l), 0.5,
+        base = _pencil_pipeline(np.asarray(snaps), PencilConfig(4, 1), 0.5,
                                 dilation=had.m_rf)
-        folded_mu = np.angle(np.exp(1j * had.m_rf * sm.phases[0])) / had.m_rf
+        mu = phase_from_angle(np.array(src.angles_deg), 0.5)[0]
+        folded_mu = np.angle(np.exp(1j * had.m_rf * mu)) / had.m_rf
         npt.assert_allclose(base, np.degrees(np.arcsin(folded_mu / np.pi)),
                             atol=1e-6)
         assert abs(base[0] - 30.0) > 1.0  # genuinely ambiguous before stage 2
 
         s2 = generate_signals(src, 4, 1, False, rng.child("s2"))[0]
-        est = estimate_spc_mpm(segments, sm.entries @ s2, had,
-                               PencilConfig(4, 1, l), cfg, codebook=cb)
+        est = estimate_spc_mpm(segments, sm @ s2, had,
+                               PencilConfig(4, 1), cfg, codebook=cb)
         npt.assert_allclose(est, [30.0], atol=1e-6)
 
     def test_virtual_array_row_structure(self):
@@ -428,12 +430,12 @@ class TestEstimateSpcMpm:
         cfg = ArrayConfig(m, 0.5)
         src = SourceSet((22.0,), (1.0,))
         sm = steering_matrix(cfg, src)
-        mu = sm.phases[0]
+        mu = phase_from_angle(np.array(src.angles_deg), 0.5)[0]
         cb = build_pc_codebook(had)
         s = generate_signals(src, 3, 1, False, RngSpec(13))[0]
-        x = sm.entries @ s
-        for n, q in enumerate(apply_combiner(cb.columns, x)):
-            g = geometric_gain(mu - cb.phase_grid[n], m_rf)
+        x = sm @ s
+        for n, q in enumerate(apply_combiner(cb, x)):
+            g = geometric_gain(mu - dft_phase(n + 1, m_rf), m_rf)
             for ell in range(l):
                 expected = g * s[0] * np.exp(1j * ell * m_rf * mu)
                 npt.assert_allclose(q[ell], expected, atol=1e-10)
@@ -446,11 +448,11 @@ class TestEstimateSpcMpm:
         sm = steering_matrix(cfg, src)
         rng = RngSpec(14)
         sigs = generate_signals(src, 2, had.n_combiners, False, rng.child("s"))
-        segments = [sm.entries @ b for b in sigs]
+        segments = [sm @ b for b in sigs]
         s2 = generate_signals(src, 4, 1, False, rng.child("s2"))[0]
         with pytest.raises(AmbiguousGeometryError):
-            estimate_spc_mpm(segments, sm.entries @ s2, had,
-                             PencilConfig(2, 2, l), cfg, build_pc_codebook(had))
+            estimate_spc_mpm(segments, sm @ s2, had,
+                             PencilConfig(2, 2), cfg, build_pc_codebook(had))
 
     def test_budget_below_combiner_count(self):
         m, l = 16, 2  # m_rf = 8 candidates, G = 4 combiners
@@ -460,17 +462,17 @@ class TestEstimateSpcMpm:
         sm = steering_matrix(cfg, src)
         rng = RngSpec(15)
         sigs = generate_signals(src, 2, had.n_combiners, False, rng.child("s"))
-        segments = [sm.entries @ b for b in sigs]
-        tiny = (sm.entries @ generate_signals(src, 3, 1, False, rng.child("s2"))[0])
+        segments = [sm @ b for b in sigs]
+        tiny = (sm @ generate_signals(src, 3, 1, False, rng.child("s2"))[0])
         with pytest.raises(ConfigError):
-            estimate_spc_mpm(segments, tiny, had, PencilConfig(1, 1, l), cfg,
+            estimate_spc_mpm(segments, tiny, had, PencilConfig(1, 1), cfg,
                              build_pc_codebook(had))
 
     def test_pc_architecture_required(self):
         had = HadConfig("fc", 16, 4)
         with pytest.raises(ConfigError):
             estimate_spc_mpm([], np.zeros((16, 4)), had,
-                             PencilConfig(2, 1, 4), ArrayConfig(16, 0.5),
+                             PencilConfig(2, 1), ArrayConfig(16, 0.5),
                              build_fc_codebook(had))
 
 

@@ -378,6 +378,19 @@ class TestCli:
         assert math.isclose(float(rows[0]["root_crlb_deg"]), 0.004365,
                             rel_tol=0.05)
 
+    def test_crlb_without_noise_subspace_leaves_bound_empty(self, tmp_path):
+        # two sources on L = 2 RF chains leave no noise subspace, so the row
+        # carries no bound instead of one made of rounding
+        out_path = tmp_path / "z.csv"
+        rc = cli_main(["crlb", "--scenario", "crlb_spc", "--m", "16", "--l", "2",
+                       "--angles-deg", "0,21", "--snr-db", "10",
+                       "--snapshots", "64", "--grid", "10", "--out", str(out_path)])
+        assert rc == 0
+        with open(out_path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows[0]["scenario"] == "crlb_spc"
+        assert rows[0]["root_crlb_deg"] == ""
+
     def test_stdout_matches_written_file(self, tmp_path, capsys):
         args = ["run", "--scenario", "fd_mpm", "--m", "16", "--snapshots", "8",
                 "--angles-deg", "12", "--sweep", "snr", "--grid", "0,10,inf",

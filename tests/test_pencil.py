@@ -241,12 +241,19 @@ class TestEigenToAngles:
 
 class TestPencilConfig:
     def test_valid_range(self):
-        PencilConfig(4, 1, 8)
-        PencilConfig(1, 1, 2)
+        # xi must lie in [R, C-R] for the C channels of the block it gets
+        gen = np.random.default_rng(3)
+        x8, x2 = (gen.standard_normal((c, 6)) + 1j * gen.standard_normal((c, 6))
+                  for c in (8, 2))
+        array8 = ArrayConfig(8, 0.5)
+        assert estimate_fd_mpm(x8, PencilConfig(4, 1), array8).shape == (1,)
+        assert estimate_fd_mpm(x2, PencilConfig(1, 1), ArrayConfig(2, 0.5)).shape == (1,)
         with pytest.raises(PencilParamError):
-            PencilConfig(6, 3, 8)  # xi > C - R
+            estimate_fd_mpm(x8, PencilConfig(6, 3), array8)  # xi > C - R
         with pytest.raises(PencilParamError):
-            PencilConfig(1, 2, 8)  # xi < R
+            estimate_fd_mpm(x8, PencilConfig(1, 2), array8)  # xi < R
+        with pytest.raises(PencilParamError):
+            PencilConfig(1, 0)
 
 
 class TestCompositePipeline:
@@ -261,8 +268,8 @@ class TestCompositePipeline:
             src = SourceSet(tuple(angles), (1.0, 1.0))
             sm = steering_matrix(cfg, src)
             s = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
-            x = sm.entries @ s
-            est = estimate_fd_mpm(x, PencilConfig(6, 2, 12), cfg)
+            x = sm @ s
+            est = estimate_fd_mpm(x, PencilConfig(6, 2), cfg)
             npt.assert_allclose(est, angles, atol=1e-6)
 
     def test_rmse_non_increasing_in_snapshots(self):
@@ -278,7 +285,7 @@ class TestCompositePipeline:
                 rng = RngSpec(31).child(k_a, t)
                 s = generate_signals(src, k_a, 1, False, rng.child("signal"))[0]
                 z = generate_noise(8, k_a, rng.child("noise"))
-                est = estimate_fd_mpm(sm.entries @ s + z, PencilConfig(4, 1, 8), cfg)
+                est = estimate_fd_mpm(sm @ s + z, PencilConfig(4, 1), cfg)
                 total += float(paired_squared_errors(est, (truth,)).sum())
             return math.sqrt(total / trials)
 

@@ -56,7 +56,7 @@ def draw_block(m, r, k, angles, snr_db, gen, segments=1):
     """(segments, M, K) source-plus-unit-noise blocks; one signal repeats."""
     power = 10.0 ** (snr_db / 10.0)
     steer = steering_matrix(ArrayConfig(m, 0.5),
-                            SourceSet(angles, (power,) * r)).entries
+                            SourceSet(angles, (power,) * r))
     s = np.sqrt(power / 2) * (gen.standard_normal((r, k))
                               + 1j * gen.standard_normal((r, k)))
     z = np.sqrt(0.5) * (gen.standard_normal((segments, m, k))
@@ -70,7 +70,7 @@ class TestSubspaceSolveMatchesSeedKernels:
     def test_angles_match_oracle(self, geometry):
         m, r, xi, k, angles, snr_db, seed = geometry
         x = draw_block(m, r, k, angles, snr_db, np.random.default_rng(seed))[0]
-        got = estimate_fd_mpm(x, PencilConfig(xi, r, m), ArrayConfig(m, 0.5))
+        got = estimate_fd_mpm(x, PencilConfig(xi, r), ArrayConfig(m, 0.5))
         want = ref.oracle_angles(columns(x), xi, r, 0.5)
         assert np.max(np.abs(got - want)) < ANGLE_TOL_DEG
 
@@ -97,7 +97,7 @@ class TestInvariances:
     def test_fd_mpm_snapshot_order_and_phase(self, geometry):
         m, r, xi, k, angles, snr_db, seed = geometry
         x = draw_block(m, r, k, angles, snr_db, np.random.default_rng(seed))[0]
-        cfg, array = PencilConfig(xi, r, m), ArrayConfig(m, 0.5)
+        cfg, array = PencilConfig(xi, r), ArrayConfig(m, 0.5)
         want = estimate_fd_mpm(x, cfg, array)
         got = estimate_fd_mpm(self.permute_and_rotate(x, seed + 1), cfg, array)
         assert np.max(np.abs(got - want)) < ANGLE_TOL_DEG
@@ -110,7 +110,7 @@ class TestInvariances:
         codebook = build_codebook(HadConfig(arch, m, l))
         segments = draw_block(m, r, k, angles, snr_db,
                               np.random.default_rng(seed), len(codebook))
-        cfg, array = PencilConfig(xi, r, m), ArrayConfig(m, 0.5)
+        cfg, array = PencilConfig(xi, r), ArrayConfig(m, 0.5)
         want = estimate_pmpm(segments, codebook, cfg, array)
         got = estimate_pmpm(self.permute_and_rotate(segments, seed + 1),
                             codebook, cfg, array)
@@ -123,7 +123,7 @@ class TestInvariances:
         # from the mirrored sources
         m, r, xi, k, angles, snr_db, seed = geometry
         x = draw_block(m, r, k, angles, snr_db, np.random.default_rng(seed))[0]
-        cfg, array = PencilConfig(xi, r, m), ArrayConfig(m, 0.5)
+        cfg, array = PencilConfig(xi, r), ArrayConfig(m, 0.5)
         want = -estimate_fd_mpm(x, cfg, array)[::-1]
         got = estimate_fd_mpm(x.conj(), cfg, array)
         assert np.max(np.abs(got - want)) < ANGLE_TOL_DEG
@@ -132,13 +132,13 @@ class TestInvariances:
 class TestRankErrorsMatchSeedKernels:
     @pytest.mark.parametrize("x", [
         # one source, model order two: the signal subspace has rank one
-        steering_matrix(ArrayConfig(12, 0.5), SourceSet((20.0,), (1.0,))).entries
+        steering_matrix(ArrayConfig(12, 0.5), SourceSet((20.0,), (1.0,)))
         @ np.array([[1.0 + 0.5j, -0.3j, 2.0]]),
         np.zeros((12, 3), dtype=complex),
     ], ids=["one_source_order_two", "all_zero"])
     def test_rank_deficient_block(self, x):
         with pytest.raises(RankError):
-            estimate_fd_mpm(x, PencilConfig(6, 2, 12), ArrayConfig(12, 0.5))
+            estimate_fd_mpm(x, PencilConfig(6, 2), ArrayConfig(12, 0.5))
         with pytest.raises(RankError):
             ref.oracle_angles(columns(x), 6, 2, 0.5)
 
@@ -146,18 +146,18 @@ class TestRankErrorsMatchSeedKernels:
         # -30 and 30 degrees on M=8, L=4 (m_rf=2) fold onto one virtual phase
         had = HadConfig("pc", 8, 4)
         array = ArrayConfig(8, 0.5)
-        steer = steering_matrix(array, SourceSet((-30.0, 30.0), (1.0, 1.0))).entries
+        steer = steering_matrix(array, SourceSet((-30.0, 30.0), (1.0, 1.0)))
         gen = np.random.default_rng(4)
         codebook = build_pc_codebook(had)
         segments = [steer @ (gen.standard_normal((2, 3))
                              + 1j * gen.standard_normal((2, 3)))
                     for _ in range(len(codebook))]
-        stage1 = np.concatenate(apply_combiner(codebook.columns, segments),
+        stage1 = np.concatenate(apply_combiner(codebook, segments),
                                 axis=1)
         with pytest.raises(RankError):
             ref.oracle_angles(columns(stage1), 2, 2, 0.5, dilation=had.m_rf)
         block2 = steer @ gen.standard_normal((2, 8))
         with pytest.raises(AmbiguousGeometryError) as info:
-            estimate_spc_mpm(segments, block2, had, PencilConfig(2, 2, 4),
+            estimate_spc_mpm(segments, block2, had, PencilConfig(2, 2),
                              array, codebook)
         assert isinstance(info.value.__cause__, RankError)
