@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .errors import ConfigError
 from .harness import (
@@ -80,23 +79,18 @@ def main(argv=None) -> int:
                       f"snapshots={cfg.snapshots} sweep={cfg.sweep}")
             return 0
 
-        if args.command == "run":
-            values = load_config_file(args.config) if args.config else {}
-            values.update(_collect_overrides(args))
-            cfg = config_from_mapping(values)
+        values = _collect_overrides(args)
+        base = None
+        if args.command == "run" and args.config:
+            values = {**load_config_file(args.config), **values}
         elif args.command == "preset":
-            cfg = preset(args.name)
-            overrides = _collect_overrides(args)
-            if overrides:
-                cfg = replace(cfg, **overrides)
-                cfg.validate()
-        else:  # crlb
-            values = _collect_overrides(args)
+            base = preset(args.name)
+        elif args.command == "crlb":
             values.setdefault("scenario", "crlb_fd")
             if values["scenario"] not in CRLB_SCENARIOS:
                 raise ConfigError(
                     f"scenario: crlb expects one of {CRLB_SCENARIOS}")
-            cfg = config_from_mapping(values)
+        cfg = config_from_mapping(values, base)
 
         records = run_experiment(cfg, measure_time=args.timing)
         _emit(records, args.out)

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from .arrays import ArrayConfig, SnapshotBlock, phase_from_angle
-from .combiners import PC, HadConfig, apply_adjoint, apply_combiner, subarray_columns
+from .combiners import apply_adjoint, apply_combiner, subarray_columns
 from .errors import (
     AmbiguousGeometryError,
     ConfigError,
@@ -113,24 +113,23 @@ def ambiguity_set(base_angles_deg, m_rf: int, spacing_ratio: float) -> np.ndarra
     return np.sort(mu + 2.0 * np.pi * i / m_rf, axis=1)
 
 
-def disambiguation_combiners(had: HadConfig, num_sources: int) -> int:
-    """Combiners the SNR scan needs: m_rf candidates per source, L per combiner."""
-    return math.ceil(had.m_rf * num_sources / had.rf_chains)
+def disambiguation_combiners(codebook: np.ndarray, num_sources: int) -> int:
+    """SNR-scan combiners for an (N, L, 1, m_rf) codebook: m_rf per source, L each."""
+    _, rf_chains, _, m_rf = codebook.shape
+    return math.ceil(m_rf * num_sources / rf_chains)
 
 
-def build_disambiguation(candidates: np.ndarray, cfg: HadConfig) -> np.ndarray:
-    """(G, L, 1, m_rf) columns: block ell of combiner g steered to one candidate.
+def build_disambiguation(candidates: np.ndarray, rf_chains: int) -> np.ndarray:
+    """(G, L, 1, m_rf) columns: each block steered to one of the (R, m_rf) candidates.
 
     Slot j (1-based) of the source-major candidate list lives in combiner
     g = ceil(j/L) at block ell = j - (g-1)L. When the candidate count is not
     a multiple of L, the final combiner repeats the last candidate to fill.
     """
-    if cfg.architecture != PC:
-        raise ConfigError("disambiguation combiners require the PC architecture")
     flat = np.ravel(candidates)
-    slots = np.concatenate([flat, np.full(-flat.size % cfg.rf_chains, flat[-1])])
-    steered = np.exp(1j * np.arange(cfg.m_rf) * slots[:, None])
-    return subarray_columns(steered, cfg.rf_chains)
+    slots = np.concatenate([flat, np.full(-flat.size % rf_chains, flat[-1])])
+    steered = np.exp(1j * np.arange(np.shape(candidates)[-1]) * slots[:, None])
+    return subarray_columns(steered, rf_chains)
 
 
 def resolve_ambiguity(columns: np.ndarray, segments, candidates: np.ndarray,
@@ -168,7 +167,7 @@ def resolve_ambiguity(columns: np.ndarray, segments, candidates: np.ndarray,
 
 
 def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
-                     had: HadConfig, cfg: PencilConfig, array: ArrayConfig,
+                     cfg: PencilConfig, array: ArrayConfig,
                      codebook: np.ndarray) -> np.ndarray:
     """Two-stage DoA estimation for a partially-connected receiver.
 
@@ -177,13 +176,17 @@ def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
     dilated by m_rf; stage 2 resolves the resulting grating-lobe ambiguity
     with candidate-steered combiners applied to a fresh snapshot budget.
 
-    ``segments`` holds one raw M-by-K antenna block per codebook entry;
+    ``codebook`` is the (N, L, 1, m_rf) single-phase codebook and fixes L,
+    m_rf and M; ``segments`` holds one raw M-by-K antenna block per entry;
     ``disambiguation_block`` is the raw M-by-K2_total block consumed by the
     SNR scan. Sources whose phases coincide modulo 2*pi/m_rf share a virtual
     steering vector and raise AmbiguousGeometryError.
     """
-    if had.architecture != PC:
-        raise ConfigError("single-phase estimation requires the PC architecture")
+    codebook = np.asarray(codebook)
+    if codebook.ndim != 4 or codebook.shape[2] != 1:
+        raise ConfigError(f"single-phase estimation needs (N, L, 1, m_rf) "
+                          f"partially-connected columns, got {codebook.shape}")
+    _, rf_chains, _, m_rf = codebook.shape
     segments = np.asarray(segments)
     if len(segments) != len(codebook):
         raise ShapeError(
@@ -191,23 +194,23 @@ def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
 
     stage1 = apply_combiner(codebook, segments)  # (N, L, K)
     try:
-        base = _pencil_pipeline(stage1.swapaxes(1, 2).reshape(-1, had.rf_chains),
-                                cfg, array.spacing_ratio, dilation=had.m_rf)
+        base = _pencil_pipeline(stage1.swapaxes(1, 2).reshape(-1, rf_chains),
+                                cfg, array.spacing_ratio, dilation=m_rf)
     except RankError as exc:
         raise AmbiguousGeometryError(
             "pencil produced fewer distinct modes than sources; two sources "
             "may share a virtual steering vector") from exc
 
-    candidates = ambiguity_set(base, had.m_rf, array.spacing_ratio)
+    candidates = ambiguity_set(base, m_rf, array.spacing_ratio)
     block = np.asarray(disambiguation_block)
-    g_total = disambiguation_combiners(had, cfg.num_sources)
-    if block.ndim != 2 or block.shape[0] != had.num_antennas:
+    g_total = disambiguation_combiners(codebook, cfg.num_sources)
+    if block.ndim != 2 or block.shape[0] != rf_chains * m_rf:
         raise ShapeError("disambiguation block must be M by K2")
     if block.shape[1] < g_total:
         raise ConfigError(
             f"disambiguation budget {block.shape[1]} below combiner count {g_total}")
     k2 = block.shape[1] // g_total
-    chunks = block[:, :g_total * k2].reshape(had.num_antennas, g_total, k2)
-    columns = build_disambiguation(candidates, had)
+    chunks = block[:, :g_total * k2].reshape(rf_chains * m_rf, g_total, k2)
+    columns = build_disambiguation(candidates, rf_chains)
     return np.sort(resolve_ambiguity(columns, chunks.swapaxes(0, 1), candidates,
                                      array.spacing_ratio))

@@ -24,7 +24,7 @@ from .arrays import (
     receive_fd,
     steering_matrix,
 )
-from .combiners import HadConfig, build_codebook
+from .combiners import FC, PC, HadConfig, build_codebook
 from .crlb import CrlbInputs, crlb_fd, crlb_spc
 from .errors import ConfigError, ESTIMATOR_FAILURES
 from .estimators import (
@@ -39,6 +39,11 @@ ESTIMATOR_SCENARIOS = ("fd_mpm", "pmpm_fc", "pmpm_pc", "spc_mpm")
 CRLB_SCENARIOS = ("crlb_fd", "crlb_spc")
 SCENARIOS = ESTIMATOR_SCENARIOS + CRLB_SCENARIOS
 SWEEP_AXES = ("snr", "theta", "snapshots", "separation")
+
+# Analog architecture of each hybrid scenario; the others use the full array.
+ARCHITECTURES = {"pmpm_fc": FC, "pmpm_pc": PC, "spc_mpm": PC, "crlb_spc": PC}
+# Scenarios that split the budget between the pencil and the SNR scan.
+TWO_STAGE = ("spc_mpm", "crlb_spc")
 
 # perfbench/run.py reads THREADS_ENV and worker_count() for its run metadata
 # and pool share; neither changes how trials run.
@@ -87,7 +92,7 @@ class ExperimentConfig:
             raise ConfigError("snapshots: must be positive")
         if self.split_divisor < 2:
             raise ConfigError("split_divisor: must be at least 2")
-        if self._needs_had():
+        if self.scenario in ARCHITECTURES:
             if self.l < 1 or self.l >= self.m or self.m % self.l:
                 raise ConfigError("l: RF chains must divide m and satisfy L < M")
         if self.sweep == "snr":
@@ -95,6 +100,12 @@ class ExperimentConfig:
                 raise ConfigError("sources: powers and snr_db are exclusive")
         elif (self.powers is None) == (self.snr_db is None):
             raise ConfigError("sources: provide exactly one of powers or snr_db")
+        snrs = tuple(self.snr_db or ())
+        if self.sweep == "snr":
+            snrs += tuple(self.grid)
+        if not all(math.isfinite(s) or s == math.inf for s in snrs):
+            raise ConfigError("snr_db, snr grid: SNRs must be finite, or +inf "
+                              "for noiseless")
         if not self.random_theta and not self.angles_deg:
             raise ConfigError("angles_deg: at least one source angle is required")
         if self.sweep == "theta" and len(self.angles_deg) != 1:
@@ -103,9 +114,8 @@ class ExperimentConfig:
             raise ConfigError("random_theta: incompatible with an angle sweep")
         if self.random_theta and self.scenario in CRLB_SCENARIOS:
             raise ConfigError("random_theta: bounds need fixed source angles")
-
-    def _needs_had(self) -> bool:
-        return self.scenario not in ("fd_mpm", "crlb_fd")
+        if self.random_theta and not 0.0 <= self.edge_offset_deg < 90.0:
+            raise ConfigError("edge_offset_deg: must lie in [0, 90)")
 
 
 @dataclass(frozen=True)
@@ -121,57 +131,6 @@ class ResultRecord:
     wall_ms: int
 
 
-@dataclass(frozen=True)
-class _Point:
-    sweep_value: float
-    ktilde: int
-    angles: tuple | None  # None means drawn uniformly per trial
-    powers: tuple
-    noiseless: bool
-
-
-def _source_count(cfg: ExperimentConfig) -> int:
-    if cfg.sweep == "separation":
-        return 2
-    return max(1, len(cfg.angles_deg))
-
-
-def _resolve_point(cfg: ExperimentConfig, value) -> _Point:
-    r = _source_count(cfg)
-    ktilde = int(value) if cfg.sweep == "snapshots" else cfg.snapshots
-    if cfg.sweep == "theta":
-        angles = (float(value),)
-    elif cfg.sweep == "separation":
-        lead = cfg.angles_deg[0]
-        angles = (lead, lead - float(value))
-    else:
-        angles = cfg.angles_deg
-    if cfg.sweep == "snr":
-        snrs = (float(value),) * r
-        noiseless = math.isinf(float(value))
-        powers = tuple(1.0 if noiseless else 10.0 ** (s / 10.0) for s in snrs)
-    elif cfg.powers is not None:
-        powers = tuple(cfg.powers)
-        noiseless = False
-    else:
-        snrs = tuple(cfg.snr_db)
-        if len(snrs) == 1 and r > 1:
-            snrs = snrs * r
-        noiseless = any(math.isinf(s) for s in snrs)
-        powers = tuple(1.0 if noiseless else 10.0 ** (s / 10.0) for s in snrs)
-    if len(powers) != r:
-        raise ConfigError(f"sources: {len(powers)} powers for {r} sources")
-    return _Point(sweep_value=float(value), ktilde=ktilde,
-                  angles=None if cfg.random_theta else angles,
-                  powers=powers, noiseless=noiseless)
-
-
-def _split_budget(cfg: ExperimentConfig, ktilde: int) -> tuple[int, int]:
-    """(stage-1 snapshots, disambiguation snapshots) for the two-stage scenario."""
-    k2 = ktilde // cfg.split_divisor if ktilde >= cfg.split_divisor else 1
-    return ktilde - k2, k2
-
-
 def _draw_angles(rng: RngSpec, r: int, edge_offset: float) -> tuple:
     gen = rng.generator()
     lo, hi = -90.0 + edge_offset, 90.0 - edge_offset
@@ -182,101 +141,125 @@ def _draw_angles(rng: RngSpec, r: int, edge_offset: float) -> tuple:
     raise ConfigError("could not draw sufficiently separated random angles")
 
 
-def _noise_block(channels: int, snapshots: int, rng: RngSpec,
-                 noiseless: bool) -> np.ndarray:
-    if noiseless:
-        return np.zeros((channels, snapshots), dtype=complex)
-    return generate_noise(channels, snapshots, rng)
+def _receiver(cfg: ExperimentConfig) -> tuple:
+    """(array, analog codebook or None for the full array, pencil parameters)."""
+    array = ArrayConfig(cfg.m, cfg.spacing_ratio)
+    architecture = ARCHITECTURES.get(cfg.scenario)
+    codebook = None
+    if architecture is not None:
+        codebook = build_codebook(HadConfig(architecture, cfg.m, cfg.l))
+    xi = cfg.xi
+    if xi is None:
+        xi = (cfg.l if cfg.scenario in TWO_STAGE else cfg.m) // 2
+    num_sources = 2 if cfg.sweep == "separation" else max(1, len(cfg.angles_deg))
+    return array, codebook, PencilConfig(xi, num_sources)
 
 
-class _ScenarioRunner:
-    """Per-sweep-point immutable context shared by all trials."""
+class _SweepPoint:
+    """One sweep value: its sources and snapshot budget, and the trials run there."""
 
-    def __init__(self, cfg: ExperimentConfig, point: _Point):
+    def __init__(self, cfg: ExperimentConfig, receiver: tuple, value):
         self.cfg = cfg
-        self.point = point
-        self.array = ArrayConfig(cfg.m, cfg.spacing_ratio)
-        self.had = None
-        self.codebook = None
-        scenario = cfg.scenario
-        if scenario in ("pmpm_fc",):
-            self.had = HadConfig("fc", cfg.m, cfg.l)
-        elif scenario in ("pmpm_pc", "spc_mpm", "crlb_spc"):
-            self.had = HadConfig("pc", cfg.m, cfg.l)
-        if self.had is not None:
-            self.codebook = build_codebook(self.had)
-
-        self.num_sources = _source_count(cfg)
-        if scenario in ("pmpm_fc", "pmpm_pc"):
-            self.k = point.ktilde // self.had.n_combiners
-            xi_default = cfg.m // 2
-        elif scenario in ("spc_mpm", "crlb_spc"):
-            k1, self.k2_total = _split_budget(cfg, point.ktilde)
-            self.k = k1 // self.had.n_combiners
-            xi_default = cfg.l // 2
+        self.array, self.codebook, self.pencil = receiver
+        r = self.pencil.num_sources
+        if cfg.sweep == "theta":
+            angles = (float(value),)
+        elif cfg.sweep == "separation":
+            angles = (cfg.angles_deg[0], cfg.angles_deg[0] - float(value))
         else:
-            self.k = point.ktilde
-            xi_default = cfg.m // 2
-        self.xi = cfg.xi if cfg.xi is not None else xi_default
+            angles = cfg.angles_deg
+        self.angles = None if cfg.random_theta else angles  # None: drawn per trial
 
-    @property
-    def feasible(self) -> bool:
-        if self.cfg.scenario == "spc_mpm":
-            g_total = disambiguation_combiners(self.had, self.num_sources)
-            return self.k >= 1 and self.k2_total >= g_total
-        return self.k >= 1
+        snrs = (float(value),) if cfg.sweep == "snr" else cfg.snr_db
+        if snrs is None:
+            self.powers, self.noiseless = tuple(cfg.powers), False
+        else:
+            snrs = tuple(snrs) * r if len(snrs) == 1 else tuple(snrs)
+            self.noiseless = math.inf in snrs
+            self.powers = tuple(1.0 if self.noiseless else 10.0 ** (s / 10.0)
+                                for s in snrs)
+        if len(self.powers) != r:
+            raise ConfigError(f"sources: {len(self.powers)} powers for {r} sources")
 
-    def _segments(self, sources: SourceSet, steer, rng: RngSpec,
-                  periodic: bool) -> list:
-        """One M-by-k receive block per codebook entry, signals repeated if periodic."""
-        n = self.had.n_combiners
-        sigs = generate_signals(sources, self.k, n, periodic, rng.child("signal"))
-        return [
-            receive_fd(steer, sigs[i],
-                       _noise_block(self.cfg.m, self.k, rng.child("noise", i),
-                                    self.point.noiseless))
-            for i in range(n)
-        ]
+        budget = int(value) if cfg.sweep == "snapshots" else cfg.snapshots
+        self.k2 = 0
+        if cfg.scenario in TWO_STAGE:
+            self.k2 = budget // cfg.split_divisor if budget >= cfg.split_divisor else 1
+            budget -= self.k2
+        self.k = budget if self.codebook is None else budget // len(self.codebook)
+
+    def run(self, sweep_index: int) -> tuple[float, int]:
+        """(pooled RMSE, failures) over the trials; RMSE -1 past the failure limit."""
+        trials = self.cfg.trials
+        # every trial fails when a stage has fewer snapshots than combiners
+        scan_short = self.cfg.scenario in TWO_STAGE and self.k2 < \
+            disambiguation_combiners(self.codebook, self.pencil.num_sources)
+        if self.k < 1 or scan_short:
+            return SENTINEL_RMSE, trials
+        total_sq = 0.0
+        count = 0
+        failures = 0
+        for trial_index in range(trials):  # index order keeps the sum exact
+            try:
+                sq = self.run_trial(sweep_index, trial_index)
+            except ESTIMATOR_FAILURES:
+                failures += 1
+                continue
+            total_sq += float(np.sum(sq))
+            count += sq.size
+        if failures > FAILURE_SHARE_LIMIT * trials or count == 0:
+            return SENTINEL_RMSE, failures
+        return math.sqrt(total_sq / count), failures
+
+    def _receive(self, steer, sources: SourceSet, k: int, signal_rng: RngSpec,
+                 noise_rngs: list, periodic: bool = False) -> list:
+        """One M-by-k block per noise stream; zero noise at a noiseless point."""
+        signals = generate_signals(sources, k, len(noise_rngs), periodic, signal_rng)
+        blocks = []
+        for sig, noise_rng in zip(signals, noise_rngs):
+            if self.noiseless:
+                noise = np.zeros((self.cfg.m, k), dtype=complex)
+            else:
+                noise = generate_noise(self.cfg.m, k, noise_rng)
+            blocks.append(receive_fd(steer, sig, noise))
+        return blocks
 
     def run_trial(self, sweep_index: int, trial_index: int) -> np.ndarray:
-        cfg, point = self.cfg, self.point
-        rng = RngSpec(cfg.seed).child(sweep_index, trial_index)
-        angles = point.angles
+        rng = RngSpec(self.cfg.seed).child(sweep_index, trial_index)
+        angles = self.angles
         if angles is None:
-            angles = _draw_angles(rng.child("theta"), self.num_sources,
-                                  cfg.edge_offset_deg)
-        sources = SourceSet(angles, point.powers)
+            angles = _draw_angles(rng.child("theta"), self.pencil.num_sources,
+                                  self.cfg.edge_offset_deg)
+        sources = SourceSet(angles, self.powers)
         steer = steering_matrix(self.array, sources)
-        pcfg = PencilConfig(self.xi, self.num_sources)
 
-        if cfg.scenario == "fd_mpm":
-            sig = generate_signals(sources, self.k, 1, False, rng.child("signal"))[0]
-            noise = _noise_block(cfg.m, self.k, rng.child("noise"), point.noiseless)
-            estimates = estimate_fd_mpm(receive_fd(steer, sig, noise), pcfg, self.array)
-        elif cfg.scenario in ("pmpm_fc", "pmpm_pc"):
-            segments = self._segments(sources, steer, rng, periodic=True)
-            estimates = estimate_pmpm(segments, self.codebook, pcfg, self.array)
-        else:  # spc_mpm
-            segments = self._segments(sources, steer, rng, periodic=False)
-            sig2 = generate_signals(sources, self.k2_total, 1, False,
-                                    rng.child("signal2"))[0]
-            noise2 = _noise_block(cfg.m, self.k2_total, rng.child("noise2"),
-                                  point.noiseless)
-            block2 = receive_fd(steer, sig2, noise2)
-            estimates = estimate_spc_mpm(segments, block2, self.had, pcfg,
-                                         self.array, self.codebook)
+        if self.codebook is None:
+            block = self._receive(steer, sources, self.k, rng.child("signal"),
+                                  [rng.child("noise")])[0]
+            estimates = estimate_fd_mpm(block, self.pencil, self.array)
+        else:
+            two_stage = self.cfg.scenario in TWO_STAGE
+            noise_rngs = [rng.child("noise", i) for i in range(len(self.codebook))]
+            # PMPM repeats one signal block over the codebook
+            segments = self._receive(steer, sources, self.k, rng.child("signal"),
+                                     noise_rngs, periodic=not two_stage)
+            if two_stage:
+                block2 = self._receive(steer, sources, self.k2, rng.child("signal2"),
+                                       [rng.child("noise2")])[0]
+                estimates = estimate_spc_mpm(segments, block2, self.pencil,
+                                             self.array, self.codebook)
+            else:
+                estimates = estimate_pmpm(segments, self.codebook, self.pencil,
+                                          self.array)
         return paired_squared_errors(estimates, angles)
 
     def root_crlb(self) -> float | None:
-        point = self.point
-        if point.angles is None or point.noiseless:
+        """Root bound at the per-segment budget; None where none applies."""
+        if self.angles is None or self.noiseless or self.k < 1:
             return None
-        sources = SourceSet(point.angles, point.powers)
-        scenario = self.cfg.scenario
+        sources = SourceSet(self.angles, self.powers)
         try:
-            if scenario in ("spc_mpm", "crlb_spc"):
-                if self.k < 1:
-                    return None
+            if self.cfg.scenario in TWO_STAGE:
                 bound = crlb_spc(CrlbInputs(self.array, sources, self.k,
                                             combiners=self.codebook))
             else:
@@ -300,47 +283,20 @@ def run_experiment(cfg: ExperimentConfig, measure_time: bool = False) -> list:
     repeated runs emit byte-identical CSV.
     """
     cfg.validate()
+    receiver = _receiver(cfg)
     records = []
     for sweep_index, value in enumerate(cfg.grid):
         start = time.perf_counter()
-        point = _resolve_point(cfg, value)
-        runner = _ScenarioRunner(cfg, point)
-
+        point = _SweepPoint(cfg, receiver, value)
         if cfg.scenario in CRLB_SCENARIOS:
-            records.append(ResultRecord(
-                sweep_value=point.sweep_value, scenario=cfg.scenario,
-                rmse_deg=None, root_crlb_deg=runner.root_crlb(),
-                trials=0, failures=0,
-                wall_ms=_elapsed_ms(start, measure_time)))
-            continue
-
-        if not runner.feasible:
-            records.append(ResultRecord(
-                sweep_value=point.sweep_value, scenario=cfg.scenario,
-                rmse_deg=SENTINEL_RMSE, root_crlb_deg=runner.root_crlb(),
-                trials=cfg.trials, failures=cfg.trials,
-                wall_ms=_elapsed_ms(start, measure_time)))
-            continue
-
-        total_sq = 0.0
-        count = 0
-        failures = 0
-        for trial_index in range(cfg.trials):  # index order keeps the sum exact
-            try:
-                sq = runner.run_trial(sweep_index, trial_index)
-            except ESTIMATOR_FAILURES:
-                failures += 1
-                continue
-            total_sq += float(np.sum(sq))
-            count += sq.size
-        if failures > FAILURE_SHARE_LIMIT * cfg.trials or count == 0:
-            rmse_value = SENTINEL_RMSE
+            rmse_value, trials, failures = None, 0, 0
         else:
-            rmse_value = math.sqrt(total_sq / count)
+            rmse_value, failures = point.run(sweep_index)
+            trials = cfg.trials
         records.append(ResultRecord(
-            sweep_value=point.sweep_value, scenario=cfg.scenario,
-            rmse_deg=rmse_value, root_crlb_deg=runner.root_crlb(),
-            trials=cfg.trials, failures=failures,
+            sweep_value=float(value), scenario=cfg.scenario,
+            rmse_deg=rmse_value, root_crlb_deg=point.root_crlb(),
+            trials=trials, failures=failures,
             wall_ms=_elapsed_ms(start, measure_time)))
     return records
 
@@ -466,14 +422,21 @@ def load_config_file(path) -> dict:
     return values
 
 
-def config_from_mapping(values: dict) -> ExperimentConfig:
-    if "scenario" not in values:
-        raise ConfigError("scenario: required")
+def config_from_mapping(values: dict,
+                        base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """The validated config: ``values`` over ``base``, or over the defaults.
+
+    Without a base, ``values`` must name the scenario. Powers given without
+    an SNR replace the base's SNR.
+    """
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown configuration keys {sorted(unknown)}")
-    base = ExperimentConfig(scenario=values["scenario"])
+    if base is None:
+        if "scenario" not in values:
+            raise ConfigError("scenario: required")
+        base = ExperimentConfig(scenario=values["scenario"])
     if "powers" in values and "snr_db" not in values:
         base = replace(base, snr_db=None)
     cfg = replace(base, **values)

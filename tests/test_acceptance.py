@@ -147,9 +147,8 @@ def test_criterion_1_noiseless_exactness():
         g_total = math.ceil(had_pc.m_rf * r / l)
         s2 = generate_signals(sources, g_total * 128, 1, False,
                               rng.child("spc2"))[0]
-        est = estimate_spc_mpm(segments, steer @ s2, had_pc,
-                               PencilConfig(l // 2, r), array,
-                               build_pc_codebook(had_pc))
+        est = estimate_spc_mpm(segments, steer @ s2, PencilConfig(l // 2, r),
+                               array, build_pc_codebook(had_pc))
         worst = max(worst, float(np.max(np.abs(est - angles))))
     elapsed = time.perf_counter() - start
     report(1, worst <= 1e-6 and elapsed < 30.0 and orders_seen == {1, 2, 3},

@@ -136,7 +136,7 @@ class TestCombinersMatchSeedBuilders:
         cands = ambiguity_set(angles, had.m_rf, 0.5)
         amb = ref.AmbiguitySet(per_source=tuple(cands), m_rf=had.m_rf,
                                spacing_ratio=0.5)
-        columns = build_disambiguation(cands, had)
+        columns = build_disambiguation(cands, had.rf_chains)
         oracle_plan = ref.build_disambiguation(amb, oracle_had(had), k2)
         assert_same_matrices(dense(columns), oracle_plan.combiners)
 

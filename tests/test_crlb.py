@@ -228,8 +228,8 @@ class TestCrlbSpc:
                 s2 = generate_signals(src, k2, 1, False, rng.child("signal2"))[0]
                 block2 = sm @ s2 + generate_noise(m, k2, rng.child("noise2"))
                 try:
-                    est = estimate_spc_mpm(segs, block2, self.had, pcfg,
-                                           self.cfg, codebook=self.cb)
+                    est = estimate_spc_mpm(segs, block2, pcfg, self.cfg,
+                                           codebook=self.cb)
                 except ESTIMATOR_FAILURES:
                     continue
                 total += float(paired_squared_errors(est, (theta,)).sum())

@@ -264,18 +264,18 @@ class TestAmbiguitySet:
 class TestBuildDisambiguation:
     def test_single_combiner_for_full_chain_budget(self):
         cands = ambiguity_set([10.0], 8, 0.5)
-        columns = build_disambiguation(cands, HadConfig("pc", 64, 8))
+        columns = build_disambiguation(cands, 8)
         assert columns.shape == (1, 8, 1, 8)
         assert dense(columns[0]).shape == (64, 8)
 
     def test_four_sources_four_combiners(self):
         cands = ambiguity_set([-50.0, -10.0, 20.0, 60.0], 8, 0.5)
-        columns = build_disambiguation(cands, HadConfig("pc", 64, 8))
+        columns = build_disambiguation(cands, 8)
         assert len(columns) == 4
 
     def test_padding_when_candidates_fall_short(self):
         cands = ambiguity_set([10.0], 4, 0.5)  # 4 candidates for 8 chains
-        columns = build_disambiguation(cands, HadConfig("pc", 32, 8))
+        columns = build_disambiguation(cands, 8)
         assert columns.shape == (1, 8, 1, 4)
         slots = np.concatenate([cands[0], np.full(4, cands[0][-1])])
         npt.assert_array_equal(columns[0, :, 0],
@@ -284,7 +284,7 @@ class TestBuildDisambiguation:
     def test_blocks_steered_to_candidates(self):
         cands = ambiguity_set([25.0], 4, 0.5)
         had = HadConfig("pc", 16, 4)
-        w = dense(build_disambiguation(cands, had)[0])
+        w = dense(build_disambiguation(cands, had.rf_chains)[0])
         for ell, mu in enumerate(cands[0]):
             block = w[ell * 4:(ell + 1) * 4, ell]
             npt.assert_allclose(block, np.exp(1j * np.arange(4) * mu), atol=1e-12)
@@ -303,7 +303,7 @@ class TestResolveAmbiguity:
 
         cands = ambiguity_set([theta], m_rf, 0.5)
         k2 = 16
-        columns = build_disambiguation(cands, had)
+        columns = build_disambiguation(cands, had.rf_chains)
         s = generate_signals(src, k2, 1, False, RngSpec(9))[0]
         segments = [sm @ s]
 
@@ -331,7 +331,7 @@ class TestResolveAmbiguity:
         cands = ambiguity_set([1e-9], had.m_rf, 0.5)
         assert np.all(cands > -np.pi) and np.all(cands <= np.pi)
         assert cands[0][0] < -np.pi + 1e-9
-        columns = build_disambiguation(cands, had)
+        columns = build_disambiguation(cands, had.rf_chains)
         block = np.exp(1j * np.arange(2) * cands[0][0])[:, None]
         angles = resolve_ambiguity(columns, [block] * len(columns), cands, 0.5)
         assert np.all(np.isfinite(angles))
@@ -343,7 +343,7 @@ class TestResolveAmbiguity:
         # smallest |phase|, the lower one of an exact +-phase pair.
         had = HadConfig("pc", 32, 8)
         cands = ambiguity_set([-40.0, 10.0, 30.0], had.m_rf, 0.5)
-        columns = build_disambiguation(cands, had)
+        columns = build_disambiguation(cands, had.rf_chains)
         zeros = np.zeros((len(columns), had.num_antennas, 3), dtype=complex)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -353,10 +353,9 @@ class TestResolveAmbiguity:
         npt.assert_array_equal(
             angles, [math.degrees(math.asin(mu / np.pi)) for mu in picks])
 
-        pair = np.array([[-1.0, 1.0]])
-        had = HadConfig("pc", 4, 2)
+        pair = np.array([[-1.0, 1.0]])  # m_rf = 2 candidates on L = 2 chains
         with pytest.warns(LowSnrWarning):
-            angles = resolve_ambiguity(build_disambiguation(pair, had),
+            angles = resolve_ambiguity(build_disambiguation(pair, 2),
                                        np.zeros((1, 4, 3)), pair, 0.5)
         npt.assert_array_equal(angles, [math.degrees(math.asin(-1.0 / np.pi))])
 
@@ -380,8 +379,8 @@ class TestResolveAmbiguity:
             s2 = generate_signals(src, k2, 1, False, rng.child("signal2"))[0]
             block2 = sm @ s2 + generate_noise(m, k2, rng.child("noise2"))
             try:
-                est = estimate_spc_mpm(segs, block2, had, PencilConfig(4, 1),
-                                       cfg, codebook=cb)
+                est = estimate_spc_mpm(segs, block2, PencilConfig(4, 1), cfg,
+                                       codebook=cb)
             except ESTIMATOR_FAILURES:
                 continue
             err = abs(float(phase_from_angle(est[0], 0.5)) -
@@ -418,8 +417,8 @@ class TestEstimateSpcMpm:
         assert abs(base[0] - 30.0) > 1.0  # genuinely ambiguous before stage 2
 
         s2 = generate_signals(src, 4, 1, False, rng.child("s2"))[0]
-        est = estimate_spc_mpm(segments, sm @ s2, had,
-                               PencilConfig(4, 1), cfg, codebook=cb)
+        est = estimate_spc_mpm(segments, sm @ s2, PencilConfig(4, 1), cfg,
+                               codebook=cb)
         npt.assert_allclose(est, [30.0], atol=1e-6)
 
     def test_virtual_array_row_structure(self):
@@ -451,8 +450,8 @@ class TestEstimateSpcMpm:
         segments = [sm @ b for b in sigs]
         s2 = generate_signals(src, 4, 1, False, rng.child("s2"))[0]
         with pytest.raises(AmbiguousGeometryError):
-            estimate_spc_mpm(segments, sm @ s2, had,
-                             PencilConfig(2, 2), cfg, build_pc_codebook(had))
+            estimate_spc_mpm(segments, sm @ s2, PencilConfig(2, 2), cfg,
+                             build_pc_codebook(had))
 
     def test_budget_below_combiner_count(self):
         m, l = 16, 2  # m_rf = 8 candidates, G = 4 combiners
@@ -465,15 +464,30 @@ class TestEstimateSpcMpm:
         segments = [sm @ b for b in sigs]
         tiny = (sm @ generate_signals(src, 3, 1, False, rng.child("s2"))[0])
         with pytest.raises(ConfigError):
-            estimate_spc_mpm(segments, tiny, had, PencilConfig(1, 1), cfg,
+            estimate_spc_mpm(segments, tiny, PencilConfig(1, 1), cfg,
                              build_pc_codebook(had))
 
     def test_pc_architecture_required(self):
-        had = HadConfig("fc", 16, 4)
+        # an FC codebook with L = 4 holds width-4 combiners, not width 1
+        codebook = build_fc_codebook(HadConfig("fc", 16, 4))
         with pytest.raises(ConfigError):
-            estimate_spc_mpm([], np.zeros((16, 4)), had,
-                             PencilConfig(2, 1), ArrayConfig(16, 0.5),
-                             build_fc_codebook(had))
+            estimate_spc_mpm([], np.zeros((16, 4)), PencilConfig(2, 1),
+                             ArrayConfig(16, 0.5), codebook)
+
+    def test_chains_read_from_codebook(self):
+        # M = 16 with the L = 2 codebook (m_rf = 8, eight combiners): stage 1
+        # takes its two chains from the codebook; reading its outputs as four
+        # chains mixes snapshots and gives 8.776 deg here
+        cfg = ArrayConfig(16, 0.5)
+        src = SourceSet((20.0,), (1.0,))
+        sm = steering_matrix(cfg, src)
+        rng = RngSpec(3)
+        codebook = build_pc_codebook(HadConfig("pc", 16, 2))
+        sigs = generate_signals(src, 4, len(codebook), False, rng.child("s"))
+        segments = [sm @ b for b in sigs]
+        block2 = sm @ generate_signals(src, 8, 1, False, rng.child("s2"))[0]
+        est = estimate_spc_mpm(segments, block2, PencilConfig(1, 1), cfg, codebook)
+        npt.assert_allclose(est, [20.0], atol=1e-6)
 
 
 class TestTheorem2Bounds:

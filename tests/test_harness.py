@@ -17,9 +17,9 @@ from pencil_doa.harness import (
     CSV_HEADER,
     ExperimentConfig,
     ResultRecord,
+    _SweepPoint,
     _fixed9,
-    _resolve_point,
-    _split_budget,
+    _receiver,
     config_from_mapping,
     emit_csv,
     load_config_file,
@@ -66,44 +66,76 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="random_theta"):
             cfg.validate()
 
+    def test_negative_infinite_snr_rejected(self):
+        # only +inf means noiseless
+        cfg = ExperimentConfig(scenario="fd_mpm", sweep="theta", grid=(0.0,),
+                               snr_db=(-math.inf,))
+        with pytest.raises(ConfigError, match="SNRs must be finite"):
+            cfg.validate()
+
+    def test_nan_snr_rejected(self):
+        cfg = ExperimentConfig(scenario="fd_mpm", sweep="theta", grid=(0.0,),
+                               snr_db=(math.nan,))
+        with pytest.raises(ConfigError, match="SNRs must be finite"):
+            cfg.validate()
+
+    def test_nan_in_snr_grid_rejected(self):
+        cfg = ExperimentConfig(scenario="fd_mpm", sweep="snr", snr_db=None,
+                               grid=(0.0, math.nan))
+        with pytest.raises(ConfigError, match="SNRs must be finite"):
+            cfg.validate()
+
+    def test_edge_offset_past_broadside_rejected(self):
+        cfg = ExperimentConfig(scenario="fd_mpm", random_theta=True,
+                               sweep="snapshots", grid=(8,), snr_db=(10.0,),
+                               edge_offset_deg=95.0)
+        with pytest.raises(ConfigError, match="edge_offset_deg"):
+            cfg.validate()
+
+
+def _point(cfg, value) -> _SweepPoint:
+    return _SweepPoint(cfg, _receiver(cfg), value)
+
 
 class TestSweepSemantics:
     def test_theta_sweep_replaces_angle(self):
         cfg = ExperimentConfig(scenario="fd_mpm", sweep="theta", grid=(25.0,),
                                snr_db=(10.0,))
-        point = _resolve_point(cfg, 25.0)
+        point = _point(cfg, 25.0)
         assert point.angles == (25.0,)
 
     def test_separation_sweep_builds_pair(self):
         cfg = ExperimentConfig(scenario="fd_mpm", sweep="separation",
                                angles_deg=(-15.0,), grid=(0.5,), snr_db=(10.0,))
-        point = _resolve_point(cfg, 0.5)
+        point = _point(cfg, 0.5)
         assert point.angles == (-15.0, -15.5)
         assert len(point.powers) == 2
 
     def test_snapshot_sweep_casts_int(self):
         cfg = ExperimentConfig(scenario="fd_mpm", sweep="snapshots",
                                grid=(64,), snr_db=(0.0,))
-        assert _resolve_point(cfg, 64).ktilde == 64
+        assert _point(cfg, 64).k == 64
 
     def test_snr_sweep_sets_power(self):
         cfg = ExperimentConfig(scenario="fd_mpm", sweep="snr", grid=(20.0,),
                                snr_db=None)
-        point = _resolve_point(cfg, 20.0)
+        point = _point(cfg, 20.0)
         assert point.powers == (100.0,)
 
     def test_infinite_snr_flags_noiseless(self):
         cfg = ExperimentConfig(scenario="fd_mpm", sweep="snr",
                                grid=(float("inf"),), snr_db=None)
-        point = _resolve_point(cfg, float("inf"))
+        point = _point(cfg, float("inf"))
         assert point.noiseless
         assert point.powers == (1.0,)
 
     def test_split_budget_rule(self):
-        cfg = ExperimentConfig(scenario="spc_mpm", sweep="snr", grid=(10.0,))
-        assert _split_budget(cfg, 256) == (224, 32)
-        assert _split_budget(cfg, 128) == (112, 16)
-        assert _split_budget(cfg, 4) == (3, 1)  # below the divisor: one snapshot
+        # m_rf = 4 combiners share the stage-1 budget
+        cfg = ExperimentConfig(scenario="spc_mpm", sweep="snapshots", grid=(10,))
+        assert (_point(cfg, 256).k, _point(cfg, 256).k2) == (224 // 4, 32)
+        assert (_point(cfg, 128).k, _point(cfg, 128).k2) == (112 // 4, 16)
+        # below the divisor: one snapshot, and 3 left for 4 combiners
+        assert (_point(cfg, 4).k, _point(cfg, 4).k2) == (3 // 4, 1)
 
 
 class TestRunExperiment:
@@ -146,6 +178,18 @@ class TestRunExperiment:
         rec = run_experiment(cfg)[0]
         assert rec.failures == 5
         assert rec.rmse_deg == -1.0
+
+    def test_failure_sentinel_for_pmpm_budget_below_codebook(self):
+        # 2 snapshots cannot feed the 4 FC combiners; 8 give 2 per segment
+        cfg = ExperimentConfig(scenario="pmpm_fc", m=32, l=8, angles_deg=(10.0,),
+                               snr_db=(10.0,), sweep="snapshots", grid=(2, 8),
+                               trials=3)
+        short, enough = run_experiment(cfg)
+        assert short.rmse_deg == -1.0
+        assert short.failures == short.trials == 3
+        assert short.root_crlb_deg is None
+        assert enough.failures == 0 and enough.rmse_deg > 0.0
+        assert enough.root_crlb_deg > 0.0
 
     def test_crlb_scenario_emits_bound_only(self):
         cfg = ExperimentConfig(scenario="crlb_fd", m=32, snapshots=32,
@@ -219,7 +263,8 @@ class TestPresets:
         cfg = preset("example2")
         assert (cfg.m, cfg.l, cfg.snapshots) == (64, 8, 256)
         assert cfg.angles_deg == (30.0,)
-        assert _split_budget(cfg, cfg.snapshots) == (224, 32)
+        point = _point(cfg, cfg.grid[0])
+        assert (point.k, point.k2) == (224 // 8, 32)  # m_rf = 8 combiners
 
     def test_example3(self):
         cfg = preset("example3")
@@ -354,6 +399,15 @@ class TestCli:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 2
         assert ",pmpm_fc," in lines[1]
+
+    def test_preset_overrides_apply_like_run(self, capsys):
+        # powers without snr_db replace the preset's SNR, as under run
+        rc = cli_main(["preset", "example3", "--powers", "10,10",
+                       "--trials", "2", "--grid", "2"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 2 and lines[1].startswith("2.00000000,pmpm_fc,")
 
     def test_run_with_flags(self, tmp_path):
         out_path = tmp_path / "r.csv"

@@ -158,6 +158,6 @@ class TestRankErrorsMatchSeedKernels:
             ref.oracle_angles(columns(stage1), 2, 2, 0.5, dilation=had.m_rf)
         block2 = steer @ gen.standard_normal((2, 8))
         with pytest.raises(AmbiguousGeometryError) as info:
-            estimate_spc_mpm(segments, block2, had, PencilConfig(2, 2),
-                             array, codebook)
+            estimate_spc_mpm(segments, block2, PencilConfig(2, 2), array,
+                             codebook)
         assert isinstance(info.value.__cause__, RankError)
