@@ -15,7 +15,6 @@ from .arrays import (
 from .combiners import (
     GainModel,
     HadConfig,
-    SectorSet,
     apply_combiner,
     build_codebook,
     build_fc_codebook,
@@ -25,7 +24,7 @@ from .combiners import (
     gain,
     sectors,
 )
-from .crlb import CrlbInputs, CrlbMatrix, crlb_fd, crlb_spc, steering_derivative
+from .crlb import crlb_fd, crlb_spc, pooled_root_deg, steering_derivative
 from .estimators import (
     ambiguity_set,
     build_disambiguation,

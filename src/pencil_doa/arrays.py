@@ -84,8 +84,8 @@ class SourceSet:
             raise ConfigError("angles and powers must have equal length")
         if any(not -90.0 < a < 90.0 for a in angles):
             raise ConfigError("angles must lie strictly inside (-90, 90) degrees")
-        if any(p <= 0.0 for p in powers):
-            raise ConfigError("powers must be positive")
+        if not all(0.0 < p < math.inf for p in powers):
+            raise ConfigError("powers must be positive and finite")
         if len(set(angles)) != len(angles):
             raise DegenerateSources("duplicate source angles")
 

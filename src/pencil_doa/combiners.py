@@ -155,24 +155,14 @@ def gain(mu, phi, model: GainModel):
     return complex(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class SectorSet:
-    """Angular sectors (degrees) swept by the partially-connected codebook.
+def sectors(cfg: HadConfig, spacing_ratio: float = 0.5) -> tuple:
+    """Angular sectors (degrees) of the PC codebook at half-wavelength spacing.
 
-    Sector n is the list of half-open intervals (lo, hi] whose phases fall
-    within pi/m_rf of the n-th DFT phase; the sector that straddles broadside
-    ambiguity at the array edge splits into two intervals.
-    """
-
-    intervals: tuple  # per combiner, tuple of (lo_deg, hi_deg] pieces
-    m_rf: int
-
-
-def sectors(cfg: HadConfig, spacing_ratio: float = 0.5) -> SectorSet:
-    """Spatial sectors of the PC codebook for half-wavelength spacing.
-
-    Each of the N sectors spans a phase width of 2*pi/m_rf. Only defined for
-    spacing_ratio = 0.5; other spacings have no published sector formula.
+    One tuple per combiner of the half-open intervals (lo_deg, hi_deg] whose
+    phases fall within pi/m_rf of its DFT phase, a phase width of 2*pi/m_rf;
+    the sector that straddles broadside ambiguity at the array edge splits
+    into two intervals. Only defined for spacing_ratio = 0.5; other spacings
+    have no published sector formula.
     """
     if cfg.architecture != PC:
         raise ConfigError("sectors are defined for the partially-connected codebook")
@@ -194,7 +184,7 @@ def sectors(cfg: HadConfig, spacing_ratio: float = 0.5) -> SectorSet:
         else:
             pieces = ((asind((2 * n - 3) / m_rf - 2.0), asind((2 * n - 1) / m_rf - 2.0)),)
         intervals.append(pieces)
-    return SectorSet(intervals=tuple(intervals), m_rf=m_rf)
+    return tuple(intervals)
 
 
 def apply_combiner(w, x) -> np.ndarray:

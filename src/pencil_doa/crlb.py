@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arrays import ArrayConfig, SourceSet, steering_matrix
@@ -11,43 +9,9 @@ from .combiners import apply_combiner
 from .errors import ConfigError, SingularFim
 
 
-@dataclass(frozen=True)
-class CrlbInputs:
-    """Everything the bound formulas need; combiners present for the SPC case.
-
-    Source powers are per unit noise variance: the harness draws noise with
-    sigma^2 = 1, and both bounds take that value. ``combiners`` is a
-    (N, blocks, width, m_rf) codebook whose combiners satisfy W^H W = (M/L) I.
-    """
-
-    array: ArrayConfig
-    sources: SourceSet
-    snapshots: int
-    combiners: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.snapshots < 1:
-            raise ConfigError("snapshots must be positive")
-        if self.combiners is not None:
-            c, m = self.combiners, self.array.num_antennas
-            if c.ndim != 4 or c.shape[1] * c.shape[3] != m:
-                raise ConfigError(f"combiner columns {c.shape} do not span {m} antennas")
-            _, blocks, width, _ = c.shape
-            gram = c @ c.conj().swapaxes(-1, -2)  # W^H W, block by block
-            if not np.allclose(gram, m / (blocks * width) * np.eye(width), atol=1e-8):
-                raise ConfigError("combiner set must satisfy W^H W = (M/L) I")
-
-
-@dataclass(frozen=True)
-class CrlbMatrix:
-    """R-by-R bound on the DoA covariance, in radians squared."""
-
-    matrix: np.ndarray
-
-    @property
-    def pooled_root_deg(self) -> float:
-        """Root of the source-averaged diagonal, comparable to pooled RMSE."""
-        return float(np.degrees(np.sqrt(np.mean(np.diag(self.matrix)))))
+def pooled_root_deg(bound: np.ndarray) -> float:
+    """Root of the source-averaged diagonal of a bound, comparable to pooled RMSE."""
+    return float(np.degrees(np.sqrt(np.mean(np.diag(bound)))))
 
 
 def steering_derivative(array: ArrayConfig, sources: SourceSet) -> np.ndarray:
@@ -65,7 +29,7 @@ def _perp_projector(basis: np.ndarray) -> np.ndarray:
     return np.eye(n) - basis @ np.linalg.pinv(basis)
 
 
-def _invert_fim(core: np.ndarray, prefactor: float) -> CrlbMatrix:
+def _invert_fim(core: np.ndarray, prefactor: float) -> np.ndarray:
     if not np.all(np.isfinite(core)):
         raise SingularFim("Fisher information core is not finite")
     try:
@@ -75,29 +39,33 @@ def _invert_fim(core: np.ndarray, prefactor: float) -> CrlbMatrix:
     crlb = 0.5 * (crlb + crlb.T)
     if np.any(np.linalg.eigvalsh(crlb) <= 0.0):
         raise SingularFim("bound matrix is not positive definite")
-    return CrlbMatrix(matrix=crlb)
+    return crlb
 
 
-def _combined_bound(inputs: CrlbInputs, columns: np.ndarray) -> CrlbMatrix:
+def _combined_bound(array: ArrayConfig, sources: SourceSet, snapshots: int,
+                    columns: np.ndarray) -> np.ndarray:
     """Stochastic bound (Stoica & Nehorai, IEEE TASSP 1990) summed over combiners.
 
     ``columns`` is a (N, blocks, width, m_rf) codebook with W^H W = (M/L) I,
-    and ``inputs.snapshots`` counts snapshots per combiner. Per combiner W,
-    with E = W^H A and G = W^H F, the output covariance is
-    Upsilon = E Phi E^H + (M/L) I (sigma^2 = 1) and the Fisher information
-    core is Re{G^H P_perp(E) G .* (Phi E^H Upsilon^-1 E Phi)^T}. Combiners
+    and ``snapshots`` counts snapshots per combiner. Source powers are per
+    unit noise variance, as the harness draws noise with sigma^2 = 1. Per
+    combiner W, with E = W^H A and G = W^H F, the output covariance is
+    Upsilon = E Phi E^H + (M/L) I and the Fisher information core is
+    Re{G^H P_perp(E) G .* (Phi E^H Upsilon^-1 E Phi)^T}. Combiners
     that null a source contribute nothing; their projector is formed through
     a pseudo-inverse so the sum stays well defined. With R >= L sources every
     P_perp(E) is zero, so the information is zero by structure.
     """
-    m = inputs.array.num_antennas
+    if snapshots < 1:
+        raise ConfigError("snapshots must be positive")
+    m = array.num_antennas
     blocks, width, _ = columns.shape[-3:]
-    l, r = blocks * width, inputs.sources.count
+    l, r = blocks * width, sources.count
     if r >= l:
         raise SingularFim(f"{r} sources leave no noise subspace in {l} outputs")
-    a = steering_matrix(inputs.array, inputs.sources)
-    f = steering_derivative(inputs.array, inputs.sources)
-    phi = inputs.sources.power_matrix
+    a = steering_matrix(array, sources)
+    f = steering_derivative(array, sources)
+    phi = sources.power_matrix
     e = apply_combiner(columns, a)  # (N, L, R)
     g = apply_combiner(columns, f)
     e_h = e.conj().swapaxes(-1, -2)
@@ -105,11 +73,11 @@ def _combined_bound(inputs: CrlbInputs, columns: np.ndarray) -> CrlbMatrix:
     left = g.conj().swapaxes(-1, -2) @ _perp_projector(e) @ g
     right = phi @ e_h @ np.linalg.solve(upsilon, e) @ phi
     core = np.real(left * right.swapaxes(-1, -2)).sum(axis=0)  # in combiner order
-    return _invert_fim(core, m / (2.0 * inputs.snapshots * l))
+    return _invert_fim(core, m / (2.0 * snapshots * l))
 
 
-def crlb_fd(inputs: CrlbInputs) -> CrlbMatrix:
-    """DoA bound for the fully-digital receiver with Gaussian sources.
+def crlb_fd(array: ArrayConfig, sources: SourceSet, snapshots: int) -> np.ndarray:
+    """R-by-R DoA bound in rad^2 for the fully-digital receiver, Gaussian sources.
 
     The combined bound with one identity combiner, M blocks of one unit
     column: 1/(2*K) * (Re{F^H P_perp(A) F .* (Phi A^H Sigma^-1 A Phi)^T})^-1
@@ -117,16 +85,22 @@ def crlb_fd(inputs: CrlbInputs) -> CrlbMatrix:
     periodicity-based hybrid estimator when evaluated with the per-segment
     snapshot count.
     """
-    if inputs.combiners is not None:
-        raise ConfigError("full-array bound takes no combiner set")
-    return _combined_bound(inputs, np.ones((1, inputs.array.num_antennas, 1, 1)))
+    return _combined_bound(array, sources, snapshots,
+                           np.ones((1, array.num_antennas, 1, 1)))
 
 
-def crlb_spc(inputs: CrlbInputs) -> CrlbMatrix:
-    """DoA bound for the single-phase partially-connected combiner set.
+def crlb_spc(array: ArrayConfig, sources: SourceSet, snapshots: int,
+             codebook: np.ndarray) -> np.ndarray:
+    """R-by-R DoA bound in rad^2 for the single-phase partially-connected codebook.
 
-    ``inputs.snapshots`` counts snapshots per combiner; see ``_combined_bound``.
+    ``codebook`` is (N, blocks, width, m_rf) and must satisfy W^H W = (M/L) I;
+    ``snapshots`` counts snapshots per combiner; see ``_combined_bound``.
     """
-    if inputs.combiners is None:
-        raise ConfigError("combined-receiver bound requires a combiner set")
-    return _combined_bound(inputs, inputs.combiners)
+    m = array.num_antennas
+    if np.ndim(codebook) != 4 or codebook.shape[1] * codebook.shape[3] != m:
+        raise ConfigError(f"combiner columns {np.shape(codebook)} do not span {m} antennas")
+    _, blocks, width, _ = codebook.shape
+    gram = codebook @ codebook.conj().swapaxes(-1, -2)  # W^H W, block by block
+    if not np.allclose(gram, m / (blocks * width) * np.eye(width), atol=1e-8):
+        raise ConfigError("combiner set must satisfy W^H W = (M/L) I")
+    return _combined_bound(array, sources, snapshots, codebook)

@@ -25,7 +25,7 @@ from .arrays import (
     steering_matrix,
 )
 from .combiners import FC, PC, HadConfig, build_codebook
-from .crlb import CrlbInputs, crlb_fd, crlb_spc
+from .crlb import crlb_fd, crlb_spc, pooled_root_deg
 from .errors import ConfigError, ESTIMATOR_FAILURES
 from .estimators import (
     disambiguation_combiners,
@@ -90,6 +90,10 @@ class ExperimentConfig:
             raise ConfigError("trials: must be positive")
         if self.snapshots < 1:
             raise ConfigError("snapshots: must be positive")
+        if self.sweep == "snapshots" and not all(
+                math.isfinite(v) and v == int(v) and v >= 1 for v in self.grid):
+            raise ConfigError("grid: snapshot budgets must be whole numbers of "
+                              "at least 1")
         if self.split_divisor < 2:
             raise ConfigError("split_divisor: must be at least 2")
         if self.scenario in ARCHITECTURES:
@@ -260,11 +264,10 @@ class _SweepPoint:
         sources = SourceSet(self.angles, self.powers)
         try:
             if self.cfg.scenario in TWO_STAGE:
-                bound = crlb_spc(CrlbInputs(self.array, sources, self.k,
-                                            combiners=self.codebook))
+                bound = crlb_spc(self.array, sources, self.k, self.codebook)
             else:
-                bound = crlb_fd(CrlbInputs(self.array, sources, self.k))
-            return bound.pooled_root_deg
+                bound = crlb_fd(self.array, sources, self.k)
+            return pooled_root_deg(bound)
         except ESTIMATOR_FAILURES:
             return None
 

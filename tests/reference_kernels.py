@@ -33,6 +33,15 @@ package's steering matrix is a plain array, its ``HadConfig`` has no
 ``alpha``, and its ``CrlbMatrix`` has no ``root_deg``. The builders take
 this module's ``HadConfig``.
 
+``block_apply_combiner``, ``BlockCrlbInputs``, ``block_combined_bound`` (with
+``_block_perp_projector`` and ``_block_invert_fim``) are the block-structured
+bound kernel that ``crlb_fd`` and ``crlb_spc`` once shared, copied verbatim
+under new names from the package as it stood while the bounds took a
+``CrlbInputs`` bundle and returned a ``CrlbMatrix``: W^H A through
+(blocks, width, m_rf) columns, one stacked projector and one summed core.
+The only edit is ``.entries`` after this module's seed ``steering_matrix``,
+which computes the same array as the package's.
+
 Do not edit them to follow the package. ``dense`` is the one helper written
 for the tests: it expands the package's block-structured combiner columns
 into the dense matrices these kernels take.
@@ -605,6 +614,99 @@ def crlb_spc(inputs: CrlbInputs) -> CrlbMatrix:
         core += np.real(left * right.T)
     prefactor = inputs.noise_var * m / (2.0 * inputs.snapshots * l)
     return _invert_fim(core, prefactor)
+
+
+def block_apply_combiner(w, x) -> np.ndarray:
+    """Analog combining stage: returns W^H X.
+
+    ``w`` holds combiner columns (..., blocks, width, m_rf) and ``x`` antenna
+    blocks (..., M, K); leading axes broadcast, so a stack of N combiners
+    applied to N blocks gives (N, L, K).
+    """
+    w = np.asarray(w)
+    x = np.asarray(x)
+    if w.ndim < 3 or x.ndim < 2 or x.shape[-2] != w.shape[-3] * w.shape[-1]:
+        raise ShapeError(f"combiner {w.shape} incompatible with block {x.shape}")
+    blocks, width, m_rf = w.shape[-3:]
+    out = w.conj() @ x.reshape(x.shape[:-2] + (blocks, m_rf, x.shape[-1]))
+    return out.reshape(out.shape[:-3] + (blocks * width, x.shape[-1]))
+
+
+@dataclass(frozen=True)
+class BlockCrlbInputs:
+    """Everything the bound formulas need; combiners present for the SPC case.
+
+    Source powers are per unit noise variance: the harness draws noise with
+    sigma^2 = 1, and both bounds take that value. ``combiners`` is a
+    (N, blocks, width, m_rf) codebook whose combiners satisfy W^H W = (M/L) I.
+    """
+
+    array: ArrayConfig
+    sources: SourceSet
+    snapshots: int
+    combiners: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.snapshots < 1:
+            raise ConfigError("snapshots must be positive")
+        if self.combiners is not None:
+            c, m = self.combiners, self.array.num_antennas
+            if c.ndim != 4 or c.shape[1] * c.shape[3] != m:
+                raise ConfigError(f"combiner columns {c.shape} do not span {m} antennas")
+            _, blocks, width, _ = c.shape
+            gram = c @ c.conj().swapaxes(-1, -2)  # W^H W, block by block
+            if not np.allclose(gram, m / (blocks * width) * np.eye(width), atol=1e-8):
+                raise ConfigError("combiner set must satisfy W^H W = (M/L) I")
+
+
+def _block_perp_projector(basis: np.ndarray) -> np.ndarray:
+    # SVD-based pseudo-inverse keeps this well defined for deficient bases;
+    # a leading axis holds a stack of bases
+    n = basis.shape[-2]
+    return np.eye(n) - basis @ np.linalg.pinv(basis)
+
+
+def _block_invert_fim(core: np.ndarray, prefactor: float) -> CrlbMatrix:
+    if not np.all(np.isfinite(core)):
+        raise SingularFim("Fisher information core is not finite")
+    try:
+        crlb = prefactor * np.linalg.inv(core)
+    except np.linalg.LinAlgError as exc:
+        raise SingularFim("Fisher information core is singular") from exc
+    crlb = 0.5 * (crlb + crlb.T)
+    if np.any(np.linalg.eigvalsh(crlb) <= 0.0):
+        raise SingularFim("bound matrix is not positive definite")
+    return CrlbMatrix(matrix=crlb)
+
+
+def block_combined_bound(inputs: BlockCrlbInputs, columns: np.ndarray) -> CrlbMatrix:
+    """Stochastic bound (Stoica & Nehorai, IEEE TASSP 1990) summed over combiners.
+
+    ``columns`` is a (N, blocks, width, m_rf) codebook with W^H W = (M/L) I,
+    and ``inputs.snapshots`` counts snapshots per combiner. Per combiner W,
+    with E = W^H A and G = W^H F, the output covariance is
+    Upsilon = E Phi E^H + (M/L) I (sigma^2 = 1) and the Fisher information
+    core is Re{G^H P_perp(E) G .* (Phi E^H Upsilon^-1 E Phi)^T}. Combiners
+    that null a source contribute nothing; their projector is formed through
+    a pseudo-inverse so the sum stays well defined. With R >= L sources every
+    P_perp(E) is zero, so the information is zero by structure.
+    """
+    m = inputs.array.num_antennas
+    blocks, width, _ = columns.shape[-3:]
+    l, r = blocks * width, inputs.sources.count
+    if r >= l:
+        raise SingularFim(f"{r} sources leave no noise subspace in {l} outputs")
+    a = steering_matrix(inputs.array, inputs.sources).entries
+    f = steering_derivative(inputs.array, inputs.sources)
+    phi = inputs.sources.power_matrix
+    e = block_apply_combiner(columns, a)  # (N, L, R)
+    g = block_apply_combiner(columns, f)
+    e_h = e.conj().swapaxes(-1, -2)
+    upsilon = e @ phi @ e_h + (m / l) * np.eye(l)
+    left = g.conj().swapaxes(-1, -2) @ _block_perp_projector(e) @ g
+    right = phi @ e_h @ np.linalg.solve(upsilon, e) @ phi
+    core = np.real(left * right.swapaxes(-1, -2)).sum(axis=0)  # in combiner order
+    return _block_invert_fim(core, m / (2.0 * inputs.snapshots * l))
 
 
 def dense(columns) -> np.ndarray:

@@ -17,7 +17,6 @@ import pytest
 
 from pencil_doa import (
     ArrayConfig,
-    CrlbInputs,
     HadConfig,
     PencilConfig,
     RngSpec,
@@ -35,6 +34,7 @@ from pencil_doa import (
     generate_signals,
     phase_from_angle,
     pmpm_aggregate,
+    pooled_root_deg,
     steering_matrix,
 )
 from pencil_doa.arrays import paired_squared_errors
@@ -246,9 +246,8 @@ def test_criterion_5_example1_desk_scale():
     base = replace(preset("example1"), grid=(0.0,))
     pmpm = run_experiment(base)[0]
     spc = run_experiment(replace(base, scenario="spc_mpm"))[0]
-    bound = crlb_fd(CrlbInputs(ArrayConfig(32, 0.5),
-                               SourceSet((0.0,), (100.0,)),
-                               32)).pooled_root_deg
+    bound = pooled_root_deg(crlb_fd(ArrayConfig(32, 0.5),
+                                    SourceSet((0.0,), (100.0,)), 32))
     elapsed = time.perf_counter() - start
     ok = (pmpm.rmse_deg <= 0.010 and spc.rmse_deg <= 0.012
           and abs(bound / 0.004 - 1.0) <= 0.20 and elapsed < 300.0)
@@ -378,18 +377,17 @@ def _numeric_crlb_theta(m, theta_deg, power, snapshots, h=1e-6):
 def test_criterion_8_bound_oracles():
     worst_rel = 0.0
     for theta, power in ((20.0, 5.0), (0.0, 10.0), (-35.0, 2.0)):
-        closed = crlb_fd(CrlbInputs(ArrayConfig(4, 0.5),
-                                    SourceSet((theta,), (power,)), 10))
+        closed = crlb_fd(ArrayConfig(4, 0.5), SourceSet((theta,), (power,)), 10)
         oracle = _numeric_crlb_theta(4, theta, power, 10)
-        worst_rel = max(worst_rel, abs(closed.matrix[0, 0] / oracle - 1.0))
+        worst_rel = max(worst_rel, abs(closed[0, 0] / oracle - 1.0))
 
     array = ArrayConfig(16, 0.5)
     sources = SourceSet((7.0, -28.0), (4.0, 9.0))
-    fd_a = crlb_fd(CrlbInputs(array, sources, 50)).matrix
-    fd_b = crlb_fd(CrlbInputs(array, sources, 100)).matrix
+    fd_a = crlb_fd(array, sources, 50)
+    fd_b = crlb_fd(array, sources, 100)
     codebook = build_pc_codebook(HadConfig("pc", 16, 4))
-    spc_a = crlb_spc(CrlbInputs(array, sources, 50, combiners=codebook)).matrix
-    spc_b = crlb_spc(CrlbInputs(array, sources, 25, combiners=codebook)).matrix
+    spc_a = crlb_spc(array, sources, 50, codebook)
+    spc_b = crlb_spc(array, sources, 25, codebook)
     scaling_exact = (np.array_equal(fd_a, 2.0 * fd_b)
                      and np.array_equal(spc_b, 2.0 * spc_a))
     report(8, worst_rel < 0.01 and scaling_exact,

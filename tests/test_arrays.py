@@ -61,6 +61,11 @@ class TestSteeringMatrix:
         sm = steering_matrix(ArrayConfig(8, 0.25), sources)
         npt.assert_allclose(np.angle(sm[1]), [np.pi / 2])
 
+    @pytest.mark.parametrize("power", [math.nan, math.inf, 0.0])
+    def test_powers_must_be_positive_and_finite(self, power):
+        with pytest.raises(ConfigError, match="powers"):
+            SourceSet((0.0, 10.0), (1.0, power))
+
     def test_duplicate_angles_rejected(self):
         with pytest.raises(DegenerateSources):
             SourceSet((10.0, 10.0), (1.0, 1.0))

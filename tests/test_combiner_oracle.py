@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import reference_kernels as ref
 from pencil_doa import (
     ArrayConfig,
-    CrlbInputs,
     HadConfig,
     SourceSet,
     ambiguity_set,
@@ -189,8 +188,7 @@ class TestKernelsMatchDenseOracles:
         assume(np.min(np.abs(np.angle(folded))) >= 1e-3)
         array = ArrayConfig(had.num_antennas, 0.5)
         sources = SourceSet(angles, (10.0 ** (power_db / 10.0),) * r)
-        got = crlb_spc(CrlbInputs(array, sources, snapshots,
-                                  combiners=build_pc_codebook(had))).matrix
+        got = crlb_spc(array, sources, snapshots, build_pc_codebook(had))
         want = ref.crlb_spc(ref.CrlbInputs(
             array, sources, snapshots, combiners=oracle_codebook(had))).matrix
         assert_relative(got, want, 1e-10)

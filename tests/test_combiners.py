@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from pencil_doa import (
     ArrayConfig,
-    CrlbInputs,
     GainModel,
     HadConfig,
     SourceSet,
     apply_combiner,
     build_fc_codebook,
     build_pc_codebook,
+    crlb_spc,
     dft_column,
     dft_phase,
     gain,
@@ -120,14 +120,14 @@ class TestPcCodebook:
         assert np.linalg.norm(total - np.eye(8)) < 1e-10
 
     def test_semi_unitary_check(self):
-        # the bound inputs accept a codebook only if W^H W = (M/L) I
+        # the SPC bound accepts a codebook only if W^H W = (M/L) I
         cb = build_pc_codebook(HadConfig("pc", 8, 2))
         array, sources = ArrayConfig(8, 0.5), SourceSet((10.0,), (1.0,))
-        assert CrlbInputs(array, sources, 4, combiners=cb).combiners is cb
+        assert crlb_spc(array, sources, 4, cb).shape == (1, 1)
         with pytest.raises(ConfigError):  # W^H W = 2 I
-            CrlbInputs(array, sources, 4, combiners=cb / math.sqrt(2.0))
+            crlb_spc(array, sources, 4, cb / math.sqrt(2.0))
         with pytest.raises(ConfigError):  # one block of 4 covers 4 of 8 antennas
-            CrlbInputs(array, sources, 4, combiners=cb[:, :1])
+            crlb_spc(array, sources, 4, cb[:, :1])
 
 
 class TestGain:
@@ -171,14 +171,14 @@ class TestGain:
 class TestSectors:
     def test_first_sector(self):
         ss = sectors(HadConfig("pc", 16, 4))  # m_rf = 4
-        lo, hi = ss.intervals[0][0]
+        lo, hi = ss[0][0]
         assert lo == pytest.approx(math.degrees(math.asin(-0.25)))
         assert hi == pytest.approx(math.degrees(math.asin(0.25)))
         assert hi == pytest.approx(14.4775, abs=1e-4)
 
     def test_wrap_sector_pieces(self):
         ss = sectors(HadConfig("pc", 16, 4))
-        pieces = ss.intervals[2]  # n = N/2 + 1 with N = 4
+        pieces = ss[2]  # n = N/2 + 1 with N = 4
         assert len(pieces) == 2
         npt.assert_allclose(pieces[0], (-90.0, math.degrees(math.asin(-0.75))))
         npt.assert_allclose(pieces[1], (math.degrees(math.asin(0.75)), 90.0))
@@ -187,14 +187,14 @@ class TestSectors:
         ss = sectors(HadConfig("pc", 32, 8))  # m_rf = 4
         grid = np.linspace(-90.0, 90.0, 10_002)[1:-1]
         for theta in grid:
-            hits = sum(1 for pieces in ss.intervals
+            hits = sum(1 for pieces in ss
                        for lo, hi in pieces if lo < theta <= hi)
             assert hits == 1
 
     def test_phase_width(self):
         had = HadConfig("pc", 64, 8)  # m_rf = 8
         ss = sectors(had)
-        for pieces in ss.intervals:
+        for pieces in ss:
             width = 0.0
             for lo, hi in pieces:
                 width += (np.pi * math.sin(math.radians(hi))

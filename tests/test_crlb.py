@@ -10,7 +10,6 @@ import reference_kernels as ref
 
 from pencil_doa import (
     ArrayConfig,
-    CrlbInputs,
     HadConfig,
     PencilConfig,
     RngSpec,
@@ -21,6 +20,7 @@ from pencil_doa import (
     estimate_spc_mpm,
     generate_noise,
     generate_signals,
+    pooled_root_deg,
     steering_matrix,
     steering_derivative,
 )
@@ -77,44 +77,43 @@ class TestSteeringDerivative:
             assert np.max(np.abs(fd[:, 0] - f[:, 0])) < 1e-6
 
 
+class TestPooledRootDeg:
+    def test_known_diagonal(self):
+        # source-averaged diagonal (1 + 3)/2 = 2 rad^2; off-diagonals ignored
+        root = pooled_root_deg(np.array([[1.0, 7.0], [7.0, 3.0]]))
+        assert type(root) is float
+        assert root == math.degrees(math.sqrt(2.0))
+
+
 class TestCrlbFd:
     def test_snapshot_scaling_exact(self):
         cfg = ArrayConfig(16, 0.5)
         src = SourceSet((12.0, -33.0), (5.0, 2.0))
-        one = crlb_fd(CrlbInputs(cfg, src, 64)).matrix
-        two = crlb_fd(CrlbInputs(cfg, src, 128)).matrix
+        one = crlb_fd(cfg, src, 64)
+        two = crlb_fd(cfg, src, 128)
         npt.assert_array_equal(one, 2.0 * two)
 
     def test_headline_value(self):
-        bound = crlb_fd(CrlbInputs(ArrayConfig(32, 0.5),
-                                   SourceSet((0.0,), (100.0,)), 32))
-        assert abs(bound.pooled_root_deg / 0.004 - 1.0) <= 0.20
+        bound = crlb_fd(ArrayConfig(32, 0.5), SourceSet((0.0,), (100.0,)), 32)
+        assert abs(pooled_root_deg(bound) / 0.004 - 1.0) <= 0.20
 
     def test_matches_numeric_fisher_information(self):
         for theta, power in ((20.0, 5.0), (0.0, 10.0), (-35.0, 2.0)):
-            closed = crlb_fd(CrlbInputs(ArrayConfig(4, 0.5),
-                                        SourceSet((theta,), (power,)), 10))
+            closed = crlb_fd(ArrayConfig(4, 0.5), SourceSet((theta,), (power,)), 10)
             oracle = numeric_crlb_theta(4, theta, power, 10)
-            assert abs(closed.matrix[0, 0] / oracle - 1.0) < 0.01
+            assert abs(closed[0, 0] / oracle - 1.0) < 0.01
 
     def test_positive_definite_and_symmetric(self):
-        bound = crlb_fd(CrlbInputs(ArrayConfig(12, 0.5),
-                                   SourceSet((-20.0, 1.0, 44.0), (1.0, 3.0, 2.0)),
-                                   16))
-        npt.assert_allclose(bound.matrix, bound.matrix.T, atol=1e-18)
-        assert np.all(np.linalg.eigvalsh(bound.matrix) > 0)
+        bound = crlb_fd(ArrayConfig(12, 0.5),
+                        SourceSet((-20.0, 1.0, 44.0), (1.0, 3.0, 2.0)), 16)
+        npt.assert_allclose(bound, bound.T, atol=1e-18)
+        assert np.all(np.linalg.eigvalsh(bound) > 0)
 
     def test_monotone_in_power(self):
         cfg = ArrayConfig(16, 0.5)
-        roots = [crlb_fd(CrlbInputs(cfg, SourceSet((10.0,), (p,)), 8)).pooled_root_deg
+        roots = [pooled_root_deg(crlb_fd(cfg, SourceSet((10.0,), (p,)), 8))
                  for p in (1.0, 10.0, 100.0)]
         assert roots[0] > roots[1] > roots[2]
-
-    def test_combiners_rejected(self):
-        cb = build_pc_codebook(HadConfig("pc", 16, 4))
-        with pytest.raises(ConfigError):
-            crlb_fd(CrlbInputs(ArrayConfig(16, 0.5), SourceSet((0.0,), (1.0,)),
-                               8, combiners=cb))
 
     def test_singular_information_raises(self):
         with pytest.raises(SingularFim):
@@ -129,13 +128,13 @@ class TestCrlbFd:
         for m, angles in ((2, (0.0, 21.0)), (4, (-50.0, -10.0, 20.0, 60.0, 75.0))):
             src = SourceSet(angles, (10.0,) * len(angles))
             with pytest.raises(SingularFim):
-                crlb_fd(CrlbInputs(ArrayConfig(m, 0.5), src, 64))
-        crlb_fd(CrlbInputs(ArrayConfig(2, 0.5), SourceSet((21.0,), (10.0,)), 64))
+                crlb_fd(ArrayConfig(m, 0.5), src, 64)
+        crlb_fd(ArrayConfig(2, 0.5), SourceSet((21.0,), (10.0,)), 64)
 
 
-def bound_or_error(bound, inputs):
+def bound_or_error(bound, *args):
     try:
-        return bound(inputs).matrix
+        return bound(*args)
     except SingularFim as exc:
         return type(exc)
 
@@ -154,8 +153,34 @@ class TestCrlbFdMatchesFrozenKernel:
         powers = data.draw(st.lists(st.floats(1e-2, 1e3), min_size=r, max_size=r))
         k = data.draw(st.sampled_from([1, 3, 16, 128]))
         array, sources = ArrayConfig(m, 0.5), SourceSet(angles, powers)
-        got = bound_or_error(crlb_fd, CrlbInputs(array, sources, k))
-        want = bound_or_error(ref.crlb_fd, ref.CrlbInputs(array, sources, k))
+        got = bound_or_error(crlb_fd, array, sources, k)
+        want = bound_or_error(
+            lambda: ref.crlb_fd(ref.CrlbInputs(array, sources, k)).matrix)
+        if isinstance(got, type) or isinstance(want, type):
+            assert got is want
+        else:
+            npt.assert_array_equal(got, want)
+
+
+class TestCrlbSpcMatchesFrozenKernel:
+    """The shared kernel under a PC codebook against the frozen block kernel:
+    the same bits, or the same exception."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bitwise(self, data):
+        l = data.draw(st.integers(2, 16))
+        m = l * data.draw(st.integers(2, 8))
+        r = data.draw(st.integers(1, l - 1))
+        angles = data.draw(st.lists(st.floats(-89.0, 89.0), min_size=r,
+                                    max_size=r, unique=True))
+        powers = data.draw(st.lists(st.floats(1e-2, 1e3), min_size=r, max_size=r))
+        k = data.draw(st.sampled_from([1, 3, 16, 128]))
+        array, sources = ArrayConfig(m, 0.5), SourceSet(angles, powers)
+        cb = build_pc_codebook(HadConfig("pc", m, l))
+        got = bound_or_error(crlb_spc, array, sources, k, cb)
+        want = bound_or_error(lambda: ref.block_combined_bound(
+            ref.BlockCrlbInputs(array, sources, k, combiners=cb), cb).matrix)
         if isinstance(got, type) or isinstance(want, type):
             assert got is want
         else:
@@ -170,31 +195,30 @@ class TestCrlbSpc:
 
     def test_snapshot_scaling_exact(self):
         src = SourceSet((0.0,), (100.0,))
-        full = crlb_spc(CrlbInputs(self.cfg, src, 32, combiners=self.cb)).matrix
-        half = crlb_spc(CrlbInputs(self.cfg, src, 16, combiners=self.cb)).matrix
+        full = crlb_spc(self.cfg, src, 32, self.cb)
+        half = crlb_spc(self.cfg, src, 16, self.cb)
         npt.assert_array_equal(half, 2.0 * full)
 
     def test_headline_value(self):
         src = SourceSet((0.0,), (100.0,))
-        bound = crlb_spc(CrlbInputs(self.cfg, src, 32, combiners=self.cb))
-        assert abs(bound.pooled_root_deg / 0.004 - 1.0) <= 0.25
+        bound = crlb_spc(self.cfg, src, 32, self.cb)
+        assert abs(pooled_root_deg(bound) / 0.004 - 1.0) <= 0.25
 
     def test_positive_definite(self):
         src = SourceSet((-25.0, 30.0), (10.0, 10.0))
-        bound = crlb_spc(CrlbInputs(self.cfg, src, 16, combiners=self.cb))
-        assert np.all(np.linalg.eigvalsh(bound.matrix) > 0)
+        bound = crlb_spc(self.cfg, src, 16, self.cb)
+        assert np.all(np.linalg.eigvalsh(bound) > 0)
 
     def test_monotone_in_power(self):
         roots = [
-            crlb_spc(CrlbInputs(self.cfg, SourceSet((10.0,), (p,)), 16,
-                                combiners=self.cb)).pooled_root_deg
+            pooled_root_deg(crlb_spc(self.cfg, SourceSet((10.0,), (p,)), 16, self.cb))
             for p in (1.0, 10.0, 100.0)
         ]
         assert roots[0] > roots[1] > roots[2]
 
     def test_missing_combiners_rejected(self):
         with pytest.raises(ConfigError):
-            crlb_spc(CrlbInputs(self.cfg, SourceSet((0.0,), (1.0,)), 8))
+            crlb_spc(self.cfg, SourceSet((0.0,), (1.0,)), 8, None)
 
     def test_no_noise_subspace_raises(self):
         # with R >= L sources each E = W^H A spans all L outputs, so every
@@ -203,8 +227,8 @@ class TestCrlbSpc:
         for angles in ((0.0, 21.0), (-40.0, 0.0, 21.0)):
             src = SourceSet(angles, (10.0,) * len(angles))
             with pytest.raises(SingularFim):
-                crlb_spc(CrlbInputs(cfg, src, 7, combiners=cb))
-        crlb_spc(CrlbInputs(cfg, SourceSet((21.0,), (10.0,)), 7, combiners=cb))
+                crlb_spc(cfg, src, 7, cb)
+        crlb_spc(cfg, SourceSet((21.0,), (10.0,)), 7, cb)
 
     def test_estimator_respects_bound_across_angles(self):
         # the estimator cannot beat its bound (finite-trial slack 10%)
@@ -215,8 +239,7 @@ class TestCrlbSpc:
         for theta in (-40.0, 0.0, 55.0):
             src = SourceSet((theta,), (100.0,))
             sm = steering_matrix(self.cfg, src)
-            bound = crlb_spc(CrlbInputs(self.cfg, src, k,
-                                        combiners=self.cb)).pooled_root_deg
+            bound = pooled_root_deg(crlb_spc(self.cfg, src, k, self.cb))
             total, count = 0.0, 0
             for t in range(200):
                 rng = RngSpec(61).child(int(theta), t)

@@ -154,7 +154,7 @@ class TestEstimatePmpm:
             npt.assert_allclose(est, (-15.0, 35.0), atol=1e-6)
 
     def test_rmse_and_bound_at_high_snr(self):
-        from pencil_doa import CrlbInputs, crlb_fd
+        from pencil_doa import crlb_fd, pooled_root_deg
 
         m, l, ktot = 32, 8, 128
         cfg = ArrayConfig(m, 0.5)
@@ -173,7 +173,7 @@ class TestEstimatePmpm:
             return estimate_pmpm(segs, cb, PencilConfig(16, 1), cfg)
 
         level = monte_carlo_rmse(trial, (0.0,), 200)
-        bound = crlb_fd(CrlbInputs(cfg, src, k)).pooled_root_deg
+        bound = pooled_root_deg(crlb_fd(cfg, src, k))
         assert level <= 0.01
         assert level >= bound
 

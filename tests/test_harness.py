@@ -85,6 +85,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="SNRs must be finite"):
             cfg.validate()
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 2.9, 0])
+    def test_snapshot_budget_must_be_whole_and_positive(self, budget):
+        # the budget is a snapshot count, under the same rule as snapshots
+        cfg = ExperimentConfig(scenario="fd_mpm", sweep="snapshots",
+                               grid=(budget, 2), snr_db=(10.0,))
+        with pytest.raises(ConfigError, match="grid: snapshot budgets"):
+            cfg.validate()
+
     def test_edge_offset_past_broadside_rejected(self):
         cfg = ExperimentConfig(scenario="fd_mpm", random_theta=True,
                                sweep="snapshots", grid=(8,), snr_db=(10.0,),
@@ -208,15 +216,14 @@ class TestRunExperiment:
         assert 0.0 < rec.rmse_deg < 0.5
 
     def test_pmpm_bound_uses_per_segment_snapshots(self):
-        from pencil_doa import ArrayConfig, CrlbInputs, SourceSet, crlb_fd
+        from pencil_doa import ArrayConfig, SourceSet, crlb_fd, pooled_root_deg
 
         cfg = ExperimentConfig(scenario="pmpm_fc", m=32, l=8, snapshots=128,
                                angles_deg=(0.0,), sweep="snr", grid=(20.0,),
                                trials=2, seed=5)
         rec = run_experiment(cfg)[0]
-        expected = crlb_fd(CrlbInputs(ArrayConfig(32, 0.5),
-                                      SourceSet((0.0,), (100.0,)),
-                                      32)).pooled_root_deg
+        expected = pooled_root_deg(crlb_fd(ArrayConfig(32, 0.5),
+                                           SourceSet((0.0,), (100.0,)), 32))
         assert rec.root_crlb_deg == pytest.approx(expected, rel=1e-12)
 
 
@@ -459,3 +466,23 @@ class TestCli:
         rc = cli_main(["run", "--scenario", "nonsense"])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["nan", "inf", "2.9,2", "0"])
+    def test_invalid_snapshot_budget_exits_2(self, grid, capsys):
+        rc = cli_main(["run", "--scenario", "fd_mpm", "--m", "8",
+                       "--angles-deg", "10", "--snr-db", "10",
+                       "--sweep", "snapshots", "--grid", grid, "--trials", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "configuration error:" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("power", ["nan", "inf"])
+    def test_non_finite_power_exits_2(self, power, capsys):
+        rc = cli_main(["run", "--scenario", "fd_mpm", "--m", "8",
+                       "--angles-deg", "10", "--sweep", "theta", "--grid", "10",
+                       "--trials", "2", "--powers", power])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "configuration error:" in captured.err
+        assert captured.out == ""
