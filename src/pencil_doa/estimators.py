@@ -29,6 +29,7 @@ from .errors import (
 from .pencil import (
     PencilConfig,
     augment,
+    compress,
     eigen_to_angles,
     pencil_eigenvalues,
     split_pencil,
@@ -36,16 +37,18 @@ from .pencil import (
 )
 
 
-def _pencil_pipeline(snapshots: np.ndarray, cfg: PencilConfig,
-                     spacing_ratio: float, dilation: int = 1) -> np.ndarray:
-    """augment -> subspace -> split -> eigenvalues -> angles, sorted ascending.
+def pencil_angles(snapshots: np.ndarray, cfg: PencilConfig,
+                  spacing_ratio: float, dilation: int = 1) -> np.ndarray:
+    """compress -> augment -> subspace -> split -> eigenvalues -> angles.
 
-    ``snapshots`` is (K, C), and xi must lie in [R, C-R].
+    ``snapshots`` is (K, C), or a (T, K, C) stack of T pencil inputs solved
+    in one batch; angles come back sorted ascending, (R,) or (T, R). xi must
+    lie in [R, C-R]. Raises if any pencil of the stack fails.
     """
-    r, c, xi = cfg.num_sources, snapshots.shape[1], cfg.xi
+    r, c, xi = cfg.num_sources, snapshots.shape[-1], cfg.xi
     if not r <= xi <= c - r:
         raise PencilParamError(f"xi={xi} outside [R, C-R] = [{r}, {c - r}] for C={c}")
-    _, coords, _ = svd_denoise(augment(snapshots, xi), r)
+    _, coords, _ = svd_denoise(augment(compress(snapshots), xi), r)
     left, right = split_pencil(coords, xi)
     eigenvalues = pencil_eigenvalues(left, right, r)
     return eigen_to_angles(eigenvalues, spacing_ratio, dilation=dilation)
@@ -60,7 +63,7 @@ def estimate_fd_mpm(x: SnapshotBlock, cfg: PencilConfig,
     if x.shape[0] != array.num_antennas:
         raise ShapeError(
             f"block with {x.shape[0]} channels does not match configuration")
-    return _pencil_pipeline(x.T, cfg, array.spacing_ratio)
+    return pencil_angles(x.T, cfg, array.spacing_ratio)
 
 
 def pmpm_aggregate(q_blocks, codebook: np.ndarray) -> SnapshotBlock:
@@ -166,6 +169,44 @@ def resolve_ambiguity(columns: np.ndarray, segments, candidates: np.ndarray,
     return angles
 
 
+def spc_snapshots(segments, codebook: np.ndarray) -> np.ndarray:
+    """The (N K, L) stage-1 pencil input: combiner n's outputs for segment n."""
+    codebook = np.asarray(codebook)
+    if codebook.ndim != 4 or codebook.shape[2] != 1:
+        raise ConfigError(f"single-phase estimation needs (N, L, 1, m_rf) "
+                          f"partially-connected columns, got {codebook.shape}")
+    segments = np.asarray(segments)
+    if len(segments) != len(codebook):
+        raise ShapeError(
+            f"{len(segments)} segments for a codebook of {len(codebook)}")
+    stage1 = apply_combiner(codebook, segments)  # (N, L, K)
+    return stage1.swapaxes(1, 2).reshape(-1, codebook.shape[1])
+
+
+def spc_resolve(base_angles, disambiguation_block: SnapshotBlock,
+                cfg: PencilConfig, array: ArrayConfig,
+                codebook: np.ndarray) -> np.ndarray:
+    """Stage 2: the true DoA among each stage-1 angle's grating-lobe candidates.
+
+    Scans candidate-steered combiners over the raw M-by-K2_total block and
+    returns the angles sorted ascending.
+    """
+    _, rf_chains, _, m_rf = codebook.shape
+    candidates = ambiguity_set(base_angles, m_rf, array.spacing_ratio)
+    block = np.asarray(disambiguation_block)
+    g_total = disambiguation_combiners(codebook, cfg.num_sources)
+    if block.ndim != 2 or block.shape[0] != rf_chains * m_rf:
+        raise ShapeError("disambiguation block must be M by K2")
+    if block.shape[1] < g_total:
+        raise ConfigError(
+            f"disambiguation budget {block.shape[1]} below combiner count {g_total}")
+    k2 = block.shape[1] // g_total
+    chunks = block[:, :g_total * k2].reshape(rf_chains * m_rf, g_total, k2)
+    columns = build_disambiguation(candidates, rf_chains)
+    return np.sort(resolve_ambiguity(columns, chunks.swapaxes(0, 1), candidates,
+                                     array.spacing_ratio))
+
+
 def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
                      cfg: PencilConfig, array: ArrayConfig,
                      codebook: np.ndarray) -> np.ndarray:
@@ -183,34 +224,12 @@ def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
     steering vector and raise AmbiguousGeometryError.
     """
     codebook = np.asarray(codebook)
-    if codebook.ndim != 4 or codebook.shape[2] != 1:
-        raise ConfigError(f"single-phase estimation needs (N, L, 1, m_rf) "
-                          f"partially-connected columns, got {codebook.shape}")
-    _, rf_chains, _, m_rf = codebook.shape
-    segments = np.asarray(segments)
-    if len(segments) != len(codebook):
-        raise ShapeError(
-            f"{len(segments)} segments for a codebook of {len(codebook)}")
-
-    stage1 = apply_combiner(codebook, segments)  # (N, L, K)
+    stage1 = spc_snapshots(segments, codebook)
     try:
-        base = _pencil_pipeline(stage1.swapaxes(1, 2).reshape(-1, rf_chains),
-                                cfg, array.spacing_ratio, dilation=m_rf)
+        base = pencil_angles(stage1, cfg, array.spacing_ratio,
+                             dilation=codebook.shape[-1])
     except RankError as exc:
         raise AmbiguousGeometryError(
             "pencil produced fewer distinct modes than sources; two sources "
             "may share a virtual steering vector") from exc
-
-    candidates = ambiguity_set(base, m_rf, array.spacing_ratio)
-    block = np.asarray(disambiguation_block)
-    g_total = disambiguation_combiners(codebook, cfg.num_sources)
-    if block.ndim != 2 or block.shape[0] != rf_chains * m_rf:
-        raise ShapeError("disambiguation block must be M by K2")
-    if block.shape[1] < g_total:
-        raise ConfigError(
-            f"disambiguation budget {block.shape[1]} below combiner count {g_total}")
-    k2 = block.shape[1] // g_total
-    chunks = block[:, :g_total * k2].reshape(rf_chains * m_rf, g_total, k2)
-    columns = build_disambiguation(candidates, rf_chains)
-    return np.sort(resolve_ambiguity(columns, chunks.swapaxes(0, 1), candidates,
-                                     array.spacing_ratio))
+    return spc_resolve(base, disambiguation_block, cfg, array, codebook)

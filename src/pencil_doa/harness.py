@@ -3,7 +3,9 @@
 A run sweeps one axis (snr, theta, snapshots, or separation), executes D
 seeded trials per sweep point, and reports pooled RMSE next to the matching
 root bound. Per-trial RNG streams derive from (seed, sweep index, trial
-index), and trials run serially in index order.
+index). Trials are drawn serially in index order and reduced to their
+compressed pencil inputs, and each run of ``stack_size`` trials is solved in
+one batched pencil call.
 """
 
 from __future__ import annotations
@@ -24,16 +26,17 @@ from .arrays import (
     receive_fd,
     steering_matrix,
 )
-from .combiners import FC, PC, HadConfig, build_codebook
+from .combiners import FC, PC, HadConfig, apply_combiner, build_codebook
 from .crlb import crlb_fd, crlb_spc, pooled_root_deg
 from .errors import ConfigError, ESTIMATOR_FAILURES
 from .estimators import (
     disambiguation_combiners,
-    estimate_fd_mpm,
-    estimate_pmpm,
-    estimate_spc_mpm,
+    pencil_angles,
+    pmpm_aggregate,
+    spc_resolve,
+    spc_snapshots,
 )
-from .pencil import PencilConfig
+from .pencil import PencilConfig, compress, stack_size
 
 ESTIMATOR_SCENARIOS = ("fd_mpm", "pmpm_fc", "pmpm_pc", "spc_mpm")
 CRLB_SCENARIOS = ("crlb_fd", "crlb_spc")
@@ -52,6 +55,10 @@ THREADS_ENV = "PENCIL_DOA_THREADS"
 # Records whose failure share exceeds this carry the sentinel RMSE of -1.
 FAILURE_SHARE_LIMIT = 0.2
 SENTINEL_RMSE = -1.0
+
+# A trial draws at most M x budget complex entries; numpy cannot size an
+# array of more bytes than its signed index type holds.
+MAX_DRAW_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 
 @dataclass
@@ -186,31 +193,50 @@ class _SweepPoint:
             raise ConfigError(f"sources: {len(self.powers)} powers for {r} sources")
 
         budget = int(value) if cfg.sweep == "snapshots" else cfg.snapshots
+        self.drawable = cfg.m * budget <= MAX_DRAW_ENTRIES
         self.k2 = 0
         if cfg.scenario in TWO_STAGE:
             self.k2 = budget // cfg.split_divisor if budget >= cfg.split_divisor else 1
             budget -= self.k2
         self.k = budget if self.codebook is None else budget // len(self.codebook)
+        self.two_stage = cfg.scenario in TWO_STAGE
+        # SPC solves its pencil on the virtual array dilated by m_rf
+        self.dilation = self.codebook.shape[-1] if self.two_stage else 1
 
     def run(self, sweep_index: int) -> tuple[float, int]:
-        """(pooled RMSE, failures) over the trials; RMSE -1 past the failure limit."""
+        """(pooled RMSE, failures) over the trials; RMSE -1 past the failure limit.
+
+        Trials are drawn in index order, ``stack_size`` at a time, and each
+        stack of pencil inputs is solved in one batch.
+        """
         trials = self.cfg.trials
         # every trial fails when a stage has fewer snapshots than combiners
-        scan_short = self.cfg.scenario in TWO_STAGE and self.k2 < \
+        scan_short = self.two_stage and self.k2 < \
             disambiguation_combiners(self.codebook, self.pencil.num_sources)
-        if self.k < 1 or scan_short:
+        if self.k < 1 or scan_short or not self.drawable:
             return SENTINEL_RMSE, trials
+        k, c = (len(self.codebook) * self.k, self.cfg.l) if self.two_stage \
+            else (self.k, self.cfg.m)
+        step = stack_size(k, c, self.pencil.xi)
         total_sq = 0.0
         count = 0
         failures = 0
-        for trial_index in range(trials):  # index order keeps the sum exact
-            try:
-                sq = self.run_trial(sweep_index, trial_index)
-            except ESTIMATOR_FAILURES:
-                failures += 1
-                continue
-            total_sq += float(np.sum(sq))
-            count += sq.size
+        for first in range(0, trials, step):
+            drawn = [self._draw(sweep_index, t)
+                     for t in range(first, min(first + step, trials))]
+            solved = self._solve(np.stack([x for *_, x in drawn]))
+            for (rng, steer, sources, _), estimates in zip(drawn, solved):
+                if estimates is None:
+                    failures += 1
+                    continue
+                if self.two_stage:
+                    block2 = self._receive(steer, sources, self.k2, rng.child("signal2"),
+                                           [rng.child("noise2")])[0]
+                    estimates = spc_resolve(estimates, block2, self.pencil,
+                                            self.array, self.codebook)
+                sq = paired_squared_errors(estimates, sources.angles_deg)
+                total_sq += float(np.sum(sq))  # index order keeps the sum exact
+                count += sq.size
         if failures > FAILURE_SHARE_LIMIT * trials or count == 0:
             return SENTINEL_RMSE, failures
         return math.sqrt(total_sq / count), failures
@@ -228,7 +254,12 @@ class _SweepPoint:
             blocks.append(receive_fd(steer, sig, noise))
         return blocks
 
-    def run_trial(self, sweep_index: int, trial_index: int) -> np.ndarray:
+    def _draw(self, sweep_index: int, trial_index: int) -> tuple:
+        """(rng, steering, sources, compressed pencil input) of one trial.
+
+        The pencil input is the FD block, the PMPM aggregate or the SPC
+        stage-1 outputs, as (K, C) snapshots.
+        """
         rng = RngSpec(self.cfg.seed).child(sweep_index, trial_index)
         angles = self.angles
         if angles is None:
@@ -238,24 +269,30 @@ class _SweepPoint:
         steer = steering_matrix(self.array, sources)
 
         if self.codebook is None:
-            block = self._receive(steer, sources, self.k, rng.child("signal"),
-                                  [rng.child("noise")])[0]
-            estimates = estimate_fd_mpm(block, self.pencil, self.array)
+            x = self._receive(steer, sources, self.k, rng.child("signal"),
+                              [rng.child("noise")])[0].T
         else:
-            two_stage = self.cfg.scenario in TWO_STAGE
             noise_rngs = [rng.child("noise", i) for i in range(len(self.codebook))]
             # PMPM repeats one signal block over the codebook
             segments = self._receive(steer, sources, self.k, rng.child("signal"),
-                                     noise_rngs, periodic=not two_stage)
-            if two_stage:
-                block2 = self._receive(steer, sources, self.k2, rng.child("signal2"),
-                                       [rng.child("noise2")])[0]
-                estimates = estimate_spc_mpm(segments, block2, self.pencil,
-                                             self.array, self.codebook)
+                                     noise_rngs, periodic=not self.two_stage)
+            if self.two_stage:
+                x = spc_snapshots(segments, self.codebook)
             else:
-                estimates = estimate_pmpm(segments, self.codebook, self.pencil,
-                                          self.array)
-        return paired_squared_errors(estimates, angles)
+                x = pmpm_aggregate(apply_combiner(self.codebook, segments),
+                                   self.codebook).T
+        return rng, steer, sources, compress(x)
+
+    def _solve(self, stack: np.ndarray) -> list:
+        """Each pencil input's angles in one batch, or None where its solve raises."""
+        try:
+            return list(pencil_angles(stack, self.pencil, self.array.spacing_ratio,
+                                      dilation=self.dilation))
+        except ESTIMATOR_FAILURES:
+            if len(stack) == 1:
+                return [None]
+        # one pencil's failure fails the batch: solve each alone
+        return [self._solve(x[None])[0] for x in stack]
 
     def root_crlb(self) -> float | None:
         """Root bound at the per-segment budget; None where none applies."""

@@ -8,6 +8,17 @@ As pinv(U_R P_L) U_R P_R = pinv(P_L) P_R, the column-deleted pair of P has the
 eigenvalues of the rank-R denoised pair: Hua & Sarkar's matrix pencil (IEEE
 TASSP 1990) in the subspace form of ESPRIT (Roy & Kailath, IEEE TASSP 1989),
 with no rank-R reconstruction and no second SVD. Eigenvalues map to angles.
+
+K enters only through X X^H (X = snapshots^T): every entry of H H^H, H_L H_L^H
+and H_R H_L^H is a sum of entries of X X^H along a diagonal. ``compress``
+therefore replaces K > C snapshots by the C-by-C factor R of their QR,
+snapshots = Q R: with Q^H Q = I, R^T conj(R) = X X^H, so H keeps its left
+singular vectors and values and the pencil its nonzero eigenvalues. This
+square-root form keeps the eps*cond accuracy of working on H itself, where
+forming X X^H would square the condition number.
+
+Every stage takes a stack of pencils on leading axes and treats each pencil
+as it would alone, so one call solves a batch of trials.
 """
 
 from __future__ import annotations
@@ -29,6 +40,9 @@ from .errors import (
 
 # Relative singular-value cutoff for pseudo-inverses and rank decisions.
 PINV_RCOND = 1e-10
+
+# Bytes of Hankel matrices one batched solve may hold; larger pencils run alone.
+STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -58,21 +72,37 @@ def hankel(x: np.ndarray, xi: int) -> np.ndarray:
     return sliding_window_view(x, xi + 1, axis=0)
 
 
-def augment(snapshots, xi: int) -> np.ndarray:
-    """The (C-xi, K(xi+1)) matrix H: one Hankel block per snapshot, in order.
+def compress(snapshots) -> np.ndarray:
+    """(..., K, C) snapshots, or for K > C the (..., C, C) factor R of their QR.
 
-    ``snapshots`` is a (K, C) array or a sequence of K length-C snapshots.
+    Both have the same X X^H, so the pencil gives the same eigenvalues.
+    """
+    snapshots = np.asarray(snapshots)
+    k, c = snapshots.shape[-2:]
+    return np.linalg.qr(snapshots, mode="r") if k > c else snapshots
+
+
+def stack_size(snapshots: int, channels: int, xi: int) -> int:
+    """Pencils of K snapshots per batched solve: STACK_BYTES of H, at least one."""
+    h_bytes = (channels - xi) * min(snapshots, channels) * (xi + 1) * 16
+    return max(1, STACK_BYTES // h_bytes) if h_bytes > 0 else 1
+
+
+def augment(snapshots, xi: int) -> np.ndarray:
+    """The (..., C-xi, K(xi+1)) matrix H: one Hankel block per snapshot, in order.
+
+    ``snapshots`` is a (..., K, C) array or a sequence of K length-C snapshots.
     """
     try:
-        x = np.asarray(snapshots).T
+        x = np.asarray(snapshots)
     except ValueError as exc:
         raise ShapeError("snapshots must share a common length") from exc
     if x.size == 0:
         raise EmptyInput("no snapshots to augment")
-    if x.ndim != 2:
-        raise ShapeError("snapshots must form a (K, C) array")
-    blocks = hankel(x, xi)
-    return blocks.reshape(blocks.shape[0], -1)
+    if x.ndim < 2:
+        raise ShapeError("snapshots must form a (..., K, C) array")
+    blocks = np.moveaxis(hankel(np.moveaxis(x, -1, 0), xi), 0, -3)
+    return blocks.reshape(blocks.shape[:-2] + (-1,))
 
 
 def svd_denoise(aug: np.ndarray, num_sources: int):
@@ -80,63 +110,68 @@ def svd_denoise(aug: np.ndarray, num_sources: int):
 
     basis is U_R, the R leading left singular vectors of H; coords is U_R^H H,
     so basis @ coords is the best rank-R approximation of H; gap is
-    sigma_R / sigma_{R+1} (inf when there is no discarded value).
+    sigma_R / sigma_{R+1} (inf when there is no discarded value), one per
+    matrix of a stack.
     """
     r = num_sources
-    if r > min(aug.shape):
+    if r > min(aug.shape[-2:]):
         raise PencilParamError(
-            f"rank {r} exceeds matrix dimensions {aug.shape}")
+            f"rank {r} exceeds matrix dimensions {aug.shape[-2:]}")
     try:
-        _, s, vh = np.linalg.svd(np.linalg.qr(aug.conj().T, mode="r"),
-                                 full_matrices=False)
+        _, s, vh = np.linalg.svd(
+            np.linalg.qr(aug.conj().swapaxes(-1, -2), mode="r"),
+            full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("SVD failed to converge") from exc
-    gap = float(s[r - 1] / s[r]) if s.size > r and s[r] > 0.0 else float("inf")
-    return vh[:r].conj().T, vh[:r] @ aug, gap
+    gap = np.full(s.shape[:-1], np.inf)
+    if s.shape[-1] > r:
+        np.divide(s[..., r - 1], s[..., r], out=gap, where=s[..., r] > 0.0)
+    vh = vh[..., :r, :]
+    return vh.conj().swapaxes(-1, -2), vh @ aug, gap[()]
 
 
 def split_pencil(h_aug: np.ndarray, xi: int) -> tuple[np.ndarray, np.ndarray]:
     """(left, right): each width-(xi+1) block less its last or first column."""
     h_aug = np.asarray(h_aug)
-    if h_aug.ndim != 2 or h_aug.shape[1] % (xi + 1):
+    if h_aug.ndim < 2 or h_aug.shape[-1] % (xi + 1):
         raise ShapeError(
             f"{h_aug.shape} is not a row of blocks of width {xi + 1}")
-    local = np.arange(h_aug.shape[1]) % (xi + 1)
-    return h_aug[:, local != xi], h_aug[:, local != 0]
+    local = np.arange(h_aug.shape[-1]) % (xi + 1)
+    return h_aug[..., local != xi], h_aug[..., local != 0]
 
 
 def pencil_eigenvalues(left: np.ndarray, right: np.ndarray,
                        num_sources: int) -> np.ndarray:
-    """R largest-modulus eigenvalues of pinv(left) @ right.
+    """R largest-modulus eigenvalues of pinv(left) @ right, per pencil of a stack.
 
     The pseudo-inverse is taken through the SVD of the left matrix with a
     relative cutoff; the nonzero spectrum is computed on the reduced operator
-    diag(1/s) U^H right V, which shares it with the full product. In the
-    noiseless case the eigenvalues are unit-modulus complex exponentials of
-    the source phases.
+    diag(1/s) U^H right V, which shares it with the full product. Each pencil
+    masks its own singular values below the cutoff, whose rows of the reduced
+    operator become zero and add only zero eigenvalues. RankError if any
+    pencil keeps fewer than R. In the noiseless case the eigenvalues are
+    unit-modulus complex exponentials of the source phases.
     """
     r = num_sources
     try:
         u, s, vh = np.linalg.svd(left, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("SVD failed to converge") from exc
-    keep = s > PINV_RCOND * s[0] if s.size and s[0] > 0.0 else np.zeros_like(s, bool)
-    rank = int(np.count_nonzero(keep))
-    if rank < r:
+    keep = s > PINV_RCOND * s[..., :1]
+    rank = np.count_nonzero(keep, axis=-1)
+    if np.any(rank < r):
         raise RankError(
-            f"pencil rank {rank} below model order {r}", singular_values=s)
-    uk = u[:, keep]
-    vk = vh[keep].conj().T
-    sk = s[keep]
-    reduced = (uk.conj().T @ right @ vk) / sk[:, None]
+            f"pencil rank {np.min(rank)} below model order {r}", singular_values=s)
+    reduced = ((u.conj().swapaxes(-1, -2) @ right @ vh.conj().swapaxes(-1, -2))
+               / np.where(keep, s, np.inf)[..., None])
     values = np.linalg.eigvals(reduced)
-    order = np.argsort(-np.abs(values))[:r]
-    return values[order]
+    order = np.argsort(-np.abs(values), axis=-1)[..., :r]
+    return np.take_along_axis(values, order, axis=-1)
 
 
 def eigen_to_angles(eigenvalues: np.ndarray, spacing_ratio: float,
                     dilation: int = 1) -> np.ndarray:
-    """Map pencil eigenvalues to DoA estimates in degrees, sorted ascending.
+    """Map pencil eigenvalues to DoA estimates in degrees, sorted ascending per pencil.
 
     Uses the principal phase of each eigenvalue; ``dilation`` is 1 for
     full-aperture pencils and m_rf for the subarray-spaced virtual array.
@@ -144,10 +179,10 @@ def eigen_to_angles(eigenvalues: np.ndarray, spacing_ratio: float,
     an OutOfRangeWarning but the estimate is kept.
     """
     args = np.angle(eigenvalues) / (2.0 * np.pi * spacing_ratio * dilation)
-    excess = np.max(np.abs(args)) - 1.0
-    if excess > 0.05:
-        warnings.warn(
-            f"arcsine argument exceeded unity by {excess:.3g}; clamped",
-            OutOfRangeWarning, stacklevel=2)
+    for excess in np.ravel(np.max(np.abs(args), axis=-1) - 1.0):
+        if excess > 0.05:
+            warnings.warn(
+                f"arcsine argument exceeded unity by {excess:.3g}; clamped",
+                OutOfRangeWarning, stacklevel=2)
     angles = np.degrees(np.arcsin(np.clip(args, -1.0, 1.0)))
-    return np.sort(angles)
+    return np.sort(angles, axis=-1)

@@ -42,6 +42,16 @@ under new names from the package as it stood while the bounds took a
 The only edit is ``.entries`` after this module's seed ``steering_matrix``,
 which computes the same array as the package's.
 
+``subspace_hankel``, ``subspace_augment``, ``subspace_svd_denoise``,
+``subspace_split_pencil``, ``subspace_pencil_eigenvalues`` and
+``subspace_eigen_to_angles`` are the single-block subspace pencil that the
+stacked, snapshot-compressing solve replaced, copied verbatim under new names
+from the package as it stood then: a strided Hankel view of all K snapshots,
+U_R from a thin QR of H^H and the SVD of its triangular factor, and one SVD
+of the reduced left matrix. ``subspace_angles`` chains them as the
+estimators' ``_pencil_pipeline`` did, with its xi range check. The only edit
+is ``subspace_augment`` calling ``subspace_hankel``.
+
 Do not edit them to follow the package. ``dense`` is the one helper written
 for the tests: it expands the package's block-structured combiner columns
 into the dense matrices these kernels take.
@@ -54,6 +64,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import scipy.linalg
 from scipy.linalg import block_diag
 
@@ -708,6 +719,127 @@ def block_combined_bound(inputs: BlockCrlbInputs, columns: np.ndarray) -> CrlbMa
     core = np.real(left * right.swapaxes(-1, -2)).sum(axis=0)  # in combiner order
     return _block_invert_fim(core, m / (2.0 * inputs.snapshots * l))
 
+
+
+def subspace_hankel(x: np.ndarray, xi: int) -> np.ndarray:
+    """Hankel view along axis 0: entry (i, ..., j) = x[i + j, ...] (0-based).
+
+    (C-xi)-by-(xi+1) for a length-C snapshot, (C-xi, K, xi+1) for a (C, K) block.
+    """
+    x = np.atleast_1d(x)
+    if not 1 <= xi <= x.shape[0] - 1:
+        raise PencilParamError(f"xi={xi} invalid for a length-{x.shape[0]} snapshot")
+    return sliding_window_view(x, xi + 1, axis=0)
+
+
+def subspace_augment(snapshots, xi: int) -> np.ndarray:
+    """The (C-xi, K(xi+1)) matrix H: one Hankel block per snapshot, in order.
+
+    ``snapshots`` is a (K, C) array or a sequence of K length-C snapshots.
+    """
+    try:
+        x = np.asarray(snapshots).T
+    except ValueError as exc:
+        raise ShapeError("snapshots must share a common length") from exc
+    if x.size == 0:
+        raise EmptyInput("no snapshots to augment")
+    if x.ndim != 2:
+        raise ShapeError("snapshots must form a (K, C) array")
+    blocks = subspace_hankel(x, xi)
+    return blocks.reshape(blocks.shape[0], -1)
+
+
+def subspace_svd_denoise(aug: np.ndarray, num_sources: int):
+    """Signal subspace of the augmented matrix H as (basis, coords, gap).
+
+    basis is U_R, the R leading left singular vectors of H; coords is U_R^H H,
+    so basis @ coords is the best rank-R approximation of H; gap is
+    sigma_R / sigma_{R+1} (inf when there is no discarded value).
+    """
+    r = num_sources
+    if r > min(aug.shape):
+        raise PencilParamError(
+            f"rank {r} exceeds matrix dimensions {aug.shape}")
+    try:
+        _, s, vh = np.linalg.svd(np.linalg.qr(aug.conj().T, mode="r"),
+                                 full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("SVD failed to converge") from exc
+    gap = float(s[r - 1] / s[r]) if s.size > r and s[r] > 0.0 else float("inf")
+    return vh[:r].conj().T, vh[:r] @ aug, gap
+
+
+def subspace_split_pencil(h_aug: np.ndarray, xi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right): each width-(xi+1) block less its last or first column."""
+    h_aug = np.asarray(h_aug)
+    if h_aug.ndim != 2 or h_aug.shape[1] % (xi + 1):
+        raise ShapeError(
+            f"{h_aug.shape} is not a row of blocks of width {xi + 1}")
+    local = np.arange(h_aug.shape[1]) % (xi + 1)
+    return h_aug[:, local != xi], h_aug[:, local != 0]
+
+
+def subspace_pencil_eigenvalues(left: np.ndarray, right: np.ndarray,
+                                num_sources: int) -> np.ndarray:
+    """R largest-modulus eigenvalues of pinv(left) @ right.
+
+    The pseudo-inverse is taken through the SVD of the left matrix with a
+    relative cutoff; the nonzero spectrum is computed on the reduced operator
+    diag(1/s) U^H right V, which shares it with the full product. In the
+    noiseless case the eigenvalues are unit-modulus complex exponentials of
+    the source phases.
+    """
+    r = num_sources
+    try:
+        u, s, vh = np.linalg.svd(left, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("SVD failed to converge") from exc
+    keep = s > PINV_RCOND * s[0] if s.size and s[0] > 0.0 else np.zeros_like(s, bool)
+    rank = int(np.count_nonzero(keep))
+    if rank < r:
+        raise RankError(
+            f"pencil rank {rank} below model order {r}", singular_values=s)
+    uk = u[:, keep]
+    vk = vh[keep].conj().T
+    sk = s[keep]
+    reduced = (uk.conj().T @ right @ vk) / sk[:, None]
+    values = np.linalg.eigvals(reduced)
+    order = np.argsort(-np.abs(values))[:r]
+    return values[order]
+
+
+def subspace_eigen_to_angles(eigenvalues: np.ndarray, spacing_ratio: float,
+                             dilation: int = 1) -> np.ndarray:
+    """Map pencil eigenvalues to DoA estimates in degrees, sorted ascending.
+
+    Uses the principal phase of each eigenvalue; ``dilation`` is 1 for
+    full-aperture pencils and m_rf for the subarray-spaced virtual array.
+    Arcsine arguments are clamped to [-1, 1]; clamping beyond 0.05 raises
+    an OutOfRangeWarning but the estimate is kept.
+    """
+    args = np.angle(eigenvalues) / (2.0 * np.pi * spacing_ratio * dilation)
+    excess = np.max(np.abs(args)) - 1.0
+    if excess > 0.05:
+        warnings.warn(
+            f"arcsine argument exceeded unity by {excess:.3g}; clamped",
+            OutOfRangeWarning, stacklevel=2)
+    angles = np.degrees(np.arcsin(np.clip(args, -1.0, 1.0)))
+    return np.sort(angles)
+
+
+def subspace_angles(snapshots: np.ndarray, xi: int, num_sources: int,
+                    spacing_ratio: float, dilation: int = 1) -> np.ndarray:
+    """augment -> subspace -> split -> eigenvalues -> angles, sorted ascending.
+
+    ``snapshots`` is (K, C), and xi must lie in [R, C-R].
+    """
+    r, c = num_sources, snapshots.shape[1]
+    if not r <= xi <= c - r:
+        raise PencilParamError(f"xi={xi} outside [R, C-R] = [{r}, {c - r}] for C={c}")
+    _, coords, _ = subspace_svd_denoise(subspace_augment(snapshots, xi), r)
+    left, right = subspace_split_pencil(coords, xi)
+    eigenvalues = subspace_pencil_eigenvalues(left, right, r)
+    return subspace_eigen_to_angles(eigenvalues, spacing_ratio, dilation=dilation)
 
 def dense(columns) -> np.ndarray:
     """Dense matrices W[b*m_rf + m, b*width + w] = columns[..., b, w, m].

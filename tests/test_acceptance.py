@@ -38,8 +38,11 @@ from pencil_doa import (
     steering_matrix,
 )
 from pencil_doa.arrays import paired_squared_errors
+from pencil_doa import harness
 from pencil_doa.harness import (
+    PRESET_NAMES,
     ExperimentConfig,
+    csv_text,
     preset,
     run_experiment,
 )
@@ -416,3 +419,15 @@ def test_criterion_9_determinism(tmp_path):
     report(9, payloads[0] == payloads[1],
            f"{len(payloads[0])} bytes identical across two interpreters "
            f"with PYTHONHASHSEED 1 and 4242, {elapsed:.0f} s")
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_criterion_9_batch_sizes(name, monkeypatch):
+    # Trials solved one at a time, seven at a time and all at once give the
+    # same bytes as the default stack size.
+    trials = 9
+    cfg = replace(preset(name), trials=trials)
+    want = csv_text(run_experiment(cfg))
+    for size in (1, 7, trials):
+        monkeypatch.setattr(harness, "stack_size", lambda *_, size=size: size)
+        assert csv_text(run_experiment(cfg)) == want, f"stack of {size}"

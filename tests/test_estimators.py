@@ -392,7 +392,7 @@ class TestResolveAmbiguity:
 
 class TestEstimateSpcMpm:
     def test_noiseless_single_source_folds_then_recovers(self):
-        from pencil_doa.estimators import _pencil_pipeline
+        from pencil_doa.estimators import pencil_angles
 
         m, l = 64, 8
         had = HadConfig("pc", m, l)
@@ -408,8 +408,8 @@ class TestEstimateSpcMpm:
         snaps = []
         for q in apply_combiner(cb, np.asarray(segments)):
             snaps.extend(q[:, i] for i in range(q.shape[1]))
-        base = _pencil_pipeline(np.asarray(snaps), PencilConfig(4, 1), 0.5,
-                                dilation=had.m_rf)
+        base = pencil_angles(np.asarray(snaps), PencilConfig(4, 1), 0.5,
+                             dilation=had.m_rf)
         mu = phase_from_angle(np.array(src.angles_deg), 0.5)[0]
         folded_mu = np.angle(np.exp(1j * had.m_rf * mu)) / had.m_rf
         npt.assert_allclose(base, np.degrees(np.arcsin(folded_mu / np.pi)),

@@ -477,6 +477,24 @@ class TestCli:
         assert "configuration error:" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("scenario", ["fd_mpm", "pmpm_fc", "spc_mpm",
+                                          "crlb_fd", "crlb_spc"])
+    def test_unallocatable_budget_gives_sentinel_row(self, scenario, capsys):
+        # 1e300 snapshots is a whole number, but no array that large exists:
+        # estimators give the sentinel row, bounds still print
+        rc = cli_main(["run", "--scenario", scenario, "--m", "8", "--l", "2",
+                       "--angles-deg", "10", "--snr-db", "10",
+                       "--sweep", "snapshots", "--grid", "1e300", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        row = captured.out.splitlines()[1].split(",")
+        assert row[1] == scenario
+        assert float(row[3]) > 0.0
+        if scenario.startswith("crlb"):
+            assert row[2:6] == ["", row[3], "0", "0"]
+        else:
+            assert row[2] == "-1.00000000" and row[4:6] == ["1", "1"]
+
     @pytest.mark.parametrize("power", ["nan", "inf"])
     def test_non_finite_power_exits_2(self, power, capsys):
         rc = cli_main(["run", "--scenario", "fd_mpm", "--m", "8",

@@ -1,14 +1,19 @@
-"""The subspace pencil solve against the seed kernels it replaced.
+"""The subspace pencil solve against the kernels it replaced.
 
 ``reference_kernels`` holds the seed chain verbatim: a scipy Hankel matrix
 per snapshot, a full SVD, the rank-R reconstruction and a second SVD. The
-package must give the same angles, and raise where it raised. Over the same
-geometries, the estimators must also keep the invariances of the model:
-reordering the snapshots or rotating each by a common phase leaves the
-angles unchanged, and conjugating the data mirrors them.
+package must give the same angles, and raise where it raised. It also holds
+the single-block subspace chain that snapshot compression and stacking
+replaced: with K <= C snapshots the package must give its bits, and with
+K > C its angles within the same tolerance. A stack of pencils must give
+each pencil's bits alone. Over the same geometries, the estimators must also
+keep the invariances of the model: reordering the snapshots or rotating each
+by a common phase leaves the angles unchanged, and conjugating the data
+mirrors them.
 """
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +34,10 @@ from pencil_doa import (
     steering_matrix,
     svd_denoise,
 )
-from pencil_doa.errors import AmbiguousGeometryError, RankError
+from pencil_doa.errors import AmbiguousGeometryError, NumericalError, RankError
+from pencil_doa.estimators import pencil_angles
+from pencil_doa.harness import ExperimentConfig, _receiver, _SweepPoint
+from pencil_doa.pencil import compress
 
 ANGLE_TOL_DEG = 1e-10
 
@@ -161,3 +169,90 @@ class TestRankErrorsMatchSeedKernels:
             estimate_spc_mpm(segments, block2, PencilConfig(2, 2), array,
                              codebook)
         assert isinstance(info.value.__cause__, RankError)
+
+
+@st.composite
+def compressible_blocks(draw):
+    c = draw(st.sampled_from([4, 6, 8, 12, 16, 32]))
+    r = draw(st.integers(1, 2))
+    xi = draw(st.integers(r, c - r))
+    k = draw(st.one_of(st.integers(1, c), st.integers(c + 1, 256)))
+    lead = draw(st.floats(-60.0, 60.0))
+    separation = draw(st.sampled_from([0.3, 0.3, 2.0, 10.0]))
+    snr_db = draw(st.sampled_from([0.0, 10.0, 30.0, 50.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    angles = (lead,) if r == 1 else (lead, lead - separation)
+    return c, r, xi, k, angles, snr_db, seed
+
+
+def raised(solve, *args):
+    try:
+        solve(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc)
+    return None
+
+
+class TestCompressionMatchesSubspaceChain:
+    """Same bits as the single-block chain for K <= C; 1e-10 deg for K > C."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(compressible_blocks())
+    def test_angles_match_subspace_chain(self, block):
+        c, r, xi, k, angles, snr_db, seed = block
+        x = draw_block(c, r, k, angles, snr_db, np.random.default_rng(seed))[0]
+        got = estimate_fd_mpm(x, PencilConfig(xi, r), ArrayConfig(c, 0.5))
+        want = ref.subspace_angles(x.T, xi, r, 0.5)
+        if k <= c:
+            npt.assert_array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) < ANGLE_TOL_DEG
+
+    @pytest.mark.parametrize("k", [3, 40])
+    @pytest.mark.parametrize("kind", ["one_source_order_two", "all_zero", "nan"])
+    def test_failures_raise_alike(self, kind, k):
+        gen = np.random.default_rng(k)
+        steer = steering_matrix(ArrayConfig(12, 0.5), SourceSet((20.0,), (1.0,)))
+        x = steer @ (gen.standard_normal((1, k)) + 1j * gen.standard_normal((1, k)))
+        if kind == "all_zero":
+            x = np.zeros_like(x)
+        elif kind == "nan":
+            x[3, 1] = np.nan
+        want = raised(ref.subspace_angles, x.T, 6, 2, 0.5)
+        assert want in (RankError, NumericalError)
+        assert raised(estimate_fd_mpm, x, PencilConfig(6, 2),
+                      ArrayConfig(12, 0.5)) is want
+
+
+class TestBatchedSolve:
+    """A stack of pencils gives each pencil's bits alone, at any stack size."""
+
+    @pytest.mark.parametrize("k,c,xi,dilation", [
+        (4, 32, 16, 1), (128, 32, 16, 1), (224, 8, 4, 8), (8, 128, 64, 1)])
+    def test_stack_sizes_match_single_calls(self, k, c, xi, dilation):
+        trials = 12
+        gen = np.random.default_rng(k * c)
+        blocks = [draw_block(c, 2, k, (10.0, 9.7), 10.0, gen)[0].T
+                  for _ in range(trials)]
+        cfg = PencilConfig(xi, 2)
+        single = [pencil_angles(x, cfg, 0.5, dilation) for x in blocks]
+        stack = np.stack([compress(x) for x in blocks])
+        for size in (1, 7, trials):
+            got = np.concatenate([pencil_angles(stack[i:i + size], cfg, 0.5, dilation)
+                                  for i in range(0, trials, size)])
+            npt.assert_array_equal(got, single)
+        npt.assert_array_equal(pencil_angles(np.stack(blocks), cfg, 0.5, dilation),
+                               single)
+
+    def test_failing_pencils_mid_stack_leave_neighbours(self):
+        cfg = ExperimentConfig(scenario="fd_mpm", m=12, angles_deg=(10.0, 9.7),
+                               snapshots=40, xi=6, trials=7)
+        point = _SweepPoint(cfg, _receiver(cfg), 20.0)
+        stack = np.stack([x for *_, x in (point._draw(0, t) for t in range(7))])
+        single = point._solve(stack)
+        stack[3] = 0.0  # RankError
+        stack[5, 2, 4] = np.nan  # LinAlgError in the SVD
+        got = point._solve(stack)
+        assert got[3] is None and got[5] is None
+        for t in (0, 1, 2, 4, 6):
+            npt.assert_array_equal(got[t], single[t])
