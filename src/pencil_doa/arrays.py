@@ -47,9 +47,16 @@ class RngSpec:
         return RngSpec(self.seed, self.labels + tuple(extra))
 
     def generator(self) -> np.random.Generator:
-        crumbs = [self.seed & 0xFFFFFFFFFFFFFFFF]
-        crumbs.extend(_encode_label(label) for label in self.labels)
-        return np.random.default_rng(np.random.SeedSequence(crumbs))
+        """PCG64 seeded from the 64-bit seed's words, low first, then one per label.
+
+        These are the words numpy's SeedSequence makes of the list [seed,
+        *labels]: one for a seed below 2**32 (0 included), else two.
+        """
+        seed = self.seed & 0xFFFFFFFFFFFFFFFF
+        words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
+        words.extend(_encode_label(label) for label in self.labels)
+        return np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
 @dataclass(frozen=True)
@@ -123,21 +130,20 @@ def generate_signals(sources: SourceSet, snapshots: int, segments: int,
 
     Entries are zero-mean circularly symmetric complex Gaussians with
     per-row variance equal to the source power. With ``periodic=True`` a
-    single draw is replicated across all segments.
+    single draw is replicated across all segments. Otherwise one
+    (segments, 2, R, K) draw supplies each segment's real then imaginary
+    parts, in the order of one draw per part and segment.
     """
     if snapshots < 1 or segments < 1:
         raise ConfigError("snapshots and segments must be positive")
     gen = rng.generator()
     scale = np.sqrt(np.asarray(sources.powers, dtype=float) / 2.0)[:, None]
-
-    def draw():
-        shape = (sources.count, snapshots)
-        return scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
-
     if periodic:
-        block = draw()
+        shape = (sources.count, snapshots)
+        block = scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
         return [block.copy() for _ in range(segments)]
-    return [draw() for _ in range(segments)]
+    parts = gen.standard_normal((segments, 2, sources.count, snapshots))
+    return list(scale * (parts[:, 0] + 1j * parts[:, 1]))
 
 
 def generate_noise(channels: int, snapshots: int, rng: RngSpec) -> SnapshotBlock:

@@ -120,13 +120,13 @@ def build_pc_codebook(cfg: HadConfig) -> np.ndarray:
 
 
 def subarray_columns(steering, rf_chains: int) -> np.ndarray:
-    """Partially-connected columns, (N, L, 1, m_rf), from per-chain steering.
+    """Partially-connected columns, (..., N, L, 1, m_rf), from per-chain steering.
 
-    Row j of the (N*L, m_rf) ``steering`` is the column of chain j mod L in
-    combiner j // L.
+    Row j of the (..., N*L, m_rf) ``steering`` is the column of chain j mod L
+    in combiner j // L.
     """
     steering = np.asarray(steering)
-    return steering.reshape(-1, rf_chains, 1, steering.shape[-1])
+    return steering.reshape(steering.shape[:-2] + (-1, rf_chains, 1, steering.shape[-1]))
 
 
 def build_codebook(cfg: HadConfig) -> np.ndarray:

@@ -108,12 +108,13 @@ def ambiguity_set(base_angles_deg, m_rf: int, spacing_ratio: float) -> np.ndarra
     its integer in [1 - m_rf, 0] if that candidate lies above -pi, else the
     one in [1, m_rf]. No candidate is at or below -pi; one exceeds pi only
     when its two integers round to either side of +-pi, and then by rounding.
+    A (..., R) stack of base estimates gives (..., R, m_rf) candidates.
     """
     mu = phase_from_angle(np.atleast_1d(np.asarray(base_angles_deg, dtype=float)),
-                          spacing_ratio)[:, None]
+                          spacing_ratio)[..., None]
     i = np.arange(1, m_rf + 1)
     i = i - m_rf * (mu + 2.0 * np.pi * (i - m_rf) / m_rf > -np.pi)
-    return np.sort(mu + 2.0 * np.pi * i / m_rf, axis=1)
+    return np.sort(mu + 2.0 * np.pi * i / m_rf, axis=-1)
 
 
 def disambiguation_combiners(codebook: np.ndarray, num_sources: int) -> int:
@@ -123,15 +124,17 @@ def disambiguation_combiners(codebook: np.ndarray, num_sources: int) -> int:
 
 
 def build_disambiguation(candidates: np.ndarray, rf_chains: int) -> np.ndarray:
-    """(G, L, 1, m_rf) columns: each block steered to one of the (R, m_rf) candidates.
+    """(..., G, L, 1, m_rf) columns: each block steered to one of the (..., R, m_rf) candidates.
 
     Slot j (1-based) of the source-major candidate list lives in combiner
     g = ceil(j/L) at block ell = j - (g-1)L. When the candidate count is not
     a multiple of L, the final combiner repeats the last candidate to fill.
     """
-    flat = np.ravel(candidates)
-    slots = np.concatenate([flat, np.full(-flat.size % rf_chains, flat[-1])])
-    steered = np.exp(1j * np.arange(np.shape(candidates)[-1]) * slots[:, None])
+    candidates = np.asarray(candidates)
+    flat = candidates.reshape(candidates.shape[:-2] + (-1,))
+    fill = np.repeat(flat[..., -1:], -flat.shape[-1] % rf_chains, axis=-1)
+    slots = np.concatenate([flat, fill], axis=-1)
+    steered = np.exp(1j * np.arange(candidates.shape[-1]) * slots[..., None])
     return subarray_columns(steered, rf_chains)
 
 
@@ -140,33 +143,38 @@ def resolve_ambiguity(columns: np.ndarray, segments, candidates: np.ndarray,
     """Pick each source's candidate by the highest per-chain output SNR.
 
     ``columns`` comes from ``build_disambiguation(candidates, ...)`` and
-    ``segments`` stacks one M-by-K2 block per combiner, (G, M, K2). The
-    metric for candidate slot (g, ell) is the mean output power of RF chain
-    ell under combiner g, normalized by the beamforming gain, minus the unit
+    ``segments`` stacks one M-by-K2 block per combiner, (G, M, K2); all three
+    may carry the same leading stack axes, one entry per trial. The metric
+    for candidate slot (g, ell) is the mean output power of RF chain ell
+    under combiner g, normalized by the beamforming gain, minus the unit
     noise floor. Candidates tie when their metrics are equal as floats, with
     no tolerance; a tie goes to the candidate of smallest |phase|, and among
     those to the first in its row, the lowest phase for ``ambiguity_set``
-    rows. Returns one angle per source, in source order; the arcsine argument
-    is clamped to [-1, 1], since a candidate may exceed pi by rounding and,
-    below half-wavelength spacing, lie outside the visible region.
+    rows. A source whose metrics are all at or below zero warns once, in
+    (trial, source) order. Returns one angle per source, in source order,
+    (..., R); the arcsine argument is clamped to [-1, 1], since a candidate
+    may exceed pi by rounding and, below half-wavelength spacing, lie
+    outside the visible region.
     """
+    columns = np.asarray(columns)
     segments = np.asarray(segments)
-    if len(segments) != len(columns):
-        raise ShapeError(f"{len(segments)} segments for {len(columns)} combiners")
-    m_rf = candidates.shape[1]
+    if segments.shape[:-2] != columns.shape[:-3]:
+        raise ShapeError(f"segments {segments.shape[:-2]} for combiners "
+                         f"{columns.shape[:-3]}")
+    r, m_rf = candidates.shape[-2:]
     out = apply_combiner(columns, segments)
-    slots = (np.mean(np.abs(out) ** 2, axis=-1) / m_rf - 1.0).ravel()
-    angles = np.empty(len(candidates))
-    for r, cands in enumerate(candidates):
-        metrics = slots[r * m_rf:(r + 1) * m_rf]
-        if np.all(metrics <= 0.0):
-            warnings.warn(f"all candidates for source {r} at or below the "
-                          "noise floor", LowSnrWarning, stacklevel=2)
-        ties = np.nonzero(metrics == metrics.max())[0]
-        mu_hat = cands[ties[np.argmin(np.abs(cands[ties]))]]
-        sine = mu_hat / (2.0 * np.pi * spacing_ratio)
-        angles[r] = math.degrees(math.asin(min(1.0, max(-1.0, sine))))
-    return angles
+    slots = np.mean(np.abs(out) ** 2, axis=-1) / m_rf - 1.0
+    metrics = slots.reshape(slots.shape[:-2] + (-1,))[..., :r * m_rf]
+    metrics = metrics.reshape(candidates.shape)
+    for *_, source in zip(*np.nonzero(np.all(metrics <= 0.0, axis=-1))):
+        warnings.warn(f"all candidates for source {source} at or below the "
+                      "noise floor", LowSnrWarning, stacklevel=2)
+    ties = metrics == metrics.max(axis=-1, keepdims=True)
+    pick = np.argmin(np.where(ties, np.abs(candidates), np.inf), axis=-1)
+    mu_hat = np.take_along_axis(candidates, pick[..., None], axis=-1)[..., 0]
+    sines = np.ravel(mu_hat / (2.0 * np.pi * spacing_ratio)).tolist()
+    return np.reshape([math.degrees(math.asin(min(1.0, max(-1.0, sine))))
+                       for sine in sines], mu_hat.shape)
 
 
 def spc_snapshots(segments, codebook: np.ndarray) -> np.ndarray:
@@ -189,22 +197,23 @@ def spc_resolve(base_angles, disambiguation_block: SnapshotBlock,
     """Stage 2: the true DoA among each stage-1 angle's grating-lobe candidates.
 
     Scans candidate-steered combiners over the raw M-by-K2_total block and
-    returns the angles sorted ascending.
+    returns the angles sorted ascending. ``base_angles`` (..., R) and the
+    (..., M, K2_total) blocks may share leading stack axes, one per trial.
     """
     _, rf_chains, _, m_rf = codebook.shape
     candidates = ambiguity_set(base_angles, m_rf, array.spacing_ratio)
     block = np.asarray(disambiguation_block)
     g_total = disambiguation_combiners(codebook, cfg.num_sources)
-    if block.ndim != 2 or block.shape[0] != rf_chains * m_rf:
+    if block.ndim < 2 or block.shape[-2] != rf_chains * m_rf:
         raise ShapeError("disambiguation block must be M by K2")
-    if block.shape[1] < g_total:
+    if block.shape[-1] < g_total:
         raise ConfigError(
-            f"disambiguation budget {block.shape[1]} below combiner count {g_total}")
-    k2 = block.shape[1] // g_total
-    chunks = block[:, :g_total * k2].reshape(rf_chains * m_rf, g_total, k2)
+            f"disambiguation budget {block.shape[-1]} below combiner count {g_total}")
+    k2 = block.shape[-1] // g_total
+    chunks = block[..., :g_total * k2].reshape(block.shape[:-1] + (g_total, k2))
     columns = build_disambiguation(candidates, rf_chains)
-    return np.sort(resolve_ambiguity(columns, chunks.swapaxes(0, 1), candidates,
-                                     array.spacing_ratio))
+    return np.sort(resolve_ambiguity(columns, chunks.swapaxes(-3, -2), candidates,
+                                     array.spacing_ratio), axis=-1)
 
 
 def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,

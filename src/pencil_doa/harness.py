@@ -5,7 +5,8 @@ seeded trials per sweep point, and reports pooled RMSE next to the matching
 root bound. Per-trial RNG streams derive from (seed, sweep index, trial
 index). Trials are drawn serially in index order and reduced to their
 compressed pencil inputs, and each run of ``stack_size`` trials is solved in
-one batched pencil call.
+one batched pencil call; SPC stage 2 then resolves that run's solved trials
+in stacks of at most ``STACK_BYTES`` of blocks.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .estimators import (
     spc_resolve,
     spc_snapshots,
 )
-from .pencil import PencilConfig, compress, stack_size
+from .pencil import STACK_BYTES, PencilConfig, compress, stack_size
 
 ESTIMATOR_SCENARIOS = ("fd_mpm", "pmpm_fc", "pmpm_pc", "spc_mpm")
 CRLB_SCENARIOS = ("crlb_fd", "crlb_spc")
@@ -123,6 +124,15 @@ class ExperimentConfig:
             raise ConfigError("angles_deg: theta sweep expects a single source")
         if self.sweep in ("theta", "separation") and self.random_theta:
             raise ConfigError("random_theta: incompatible with an angle sweep")
+        # equal angles share one steering vector, and no estimator or bound
+        # can tell the sources apart
+        if self.sweep == "separation" and any(
+                self.angles_deg[0] - float(v) == self.angles_deg[0] for v in self.grid):
+            raise ConfigError("grid: a separation must move the second source "
+                              "off the first")
+        if self.sweep in ("snr", "snapshots") and not self.random_theta and \
+                len(set(map(float, self.angles_deg))) < len(self.angles_deg):
+            raise ConfigError("angles_deg: source angles must be distinct")
         if self.random_theta and self.scenario in CRLB_SCENARIOS:
             raise ConfigError("random_theta: bounds need fixed source angles")
         if self.random_theta and not 0.0 <= self.edge_offset_deg < 90.0:
@@ -180,6 +190,7 @@ class _SweepPoint:
         else:
             angles = cfg.angles_deg
         self.angles = None if cfg.random_theta else angles  # None: drawn per trial
+        self.fixed = None  # (sources, steering) at fixed angles, from the first trial
 
         snrs = (float(value),) if cfg.sweep == "snr" else cfg.snr_db
         if snrs is None:
@@ -224,16 +235,13 @@ class _SweepPoint:
         for first in range(0, trials, step):
             drawn = [self._draw(sweep_index, t)
                      for t in range(first, min(first + step, trials))]
-            solved = self._solve(np.stack([x for *_, x in drawn]))
-            for (rng, steer, sources, _), estimates in zip(drawn, solved):
-                if estimates is None:
-                    failures += 1
-                    continue
-                if self.two_stage:
-                    block2 = self._receive(steer, sources, self.k2, rng.child("signal2"),
-                                           [rng.child("noise2")])[0]
-                    estimates = spc_resolve(estimates, block2, self.pencil,
-                                            self.array, self.codebook)
+            solved = [(trial, estimates) for trial, estimates
+                      in zip(drawn, self._solve(np.stack([x for *_, x in drawn])))
+                      if estimates is not None]
+            failures += len(drawn) - len(solved)
+            if self.two_stage:
+                solved = self._resolve(solved)
+            for (_, _, sources, _), estimates in solved:
                 sq = paired_squared_errors(estimates, sources.angles_deg)
                 total_sq += float(np.sum(sq))  # index order keeps the sum exact
                 count += sq.size
@@ -254,6 +262,18 @@ class _SweepPoint:
             blocks.append(receive_fd(steer, sig, noise))
         return blocks
 
+    def _sources(self, rng: RngSpec) -> tuple:
+        """(sources, steering) of one trial; at fixed angles, the first trial's."""
+        if self.fixed is not None:
+            return self.fixed
+        angles = self.angles or _draw_angles(rng.child("theta"), self.pencil.num_sources,
+                                             self.cfg.edge_offset_deg)
+        sources = SourceSet(angles, self.powers)
+        built = sources, steering_matrix(self.array, sources)
+        if self.angles:
+            self.fixed = built
+        return built
+
     def _draw(self, sweep_index: int, trial_index: int) -> tuple:
         """(rng, steering, sources, compressed pencil input) of one trial.
 
@@ -261,12 +281,7 @@ class _SweepPoint:
         stage-1 outputs, as (K, C) snapshots.
         """
         rng = RngSpec(self.cfg.seed).child(sweep_index, trial_index)
-        angles = self.angles
-        if angles is None:
-            angles = _draw_angles(rng.child("theta"), self.pencil.num_sources,
-                                  self.cfg.edge_offset_deg)
-        sources = SourceSet(angles, self.powers)
-        steer = steering_matrix(self.array, sources)
+        sources, steer = self._sources(rng)
 
         if self.codebook is None:
             x = self._receive(steer, sources, self.k, rng.child("signal"),
@@ -282,6 +297,25 @@ class _SweepPoint:
                 x = pmpm_aggregate(apply_combiner(self.codebook, segments),
                                    self.codebook).T
         return rng, steer, sources, compress(x)
+
+    def _resolve(self, solved: list) -> list:
+        """SPC stage 2 of each (trial, stage-1 angles), in order.
+
+        Each trial's M-by-K2 block is drawn in trial order, and the blocks
+        are resolved in stacks of at most STACK_BYTES.
+        """
+        step = max(1, STACK_BYTES // (self.cfg.m * self.k2 * 16))
+        resolved = []
+        for first in range(0, len(solved), step):
+            part = solved[first:first + step]
+            blocks = np.empty((len(part), self.cfg.m, self.k2), dtype=complex)
+            for block, ((rng, steer, sources, _), _) in zip(blocks, part):
+                block[...] = self._receive(steer, sources, self.k2, rng.child("signal2"),
+                                           [rng.child("noise2")])[0]
+            angles = spc_resolve(np.stack([base for _, base in part]), blocks,
+                                 self.pencil, self.array, self.codebook)
+            resolved.extend(zip([trial for trial, _ in part], angles))
+        return resolved
 
     def _solve(self, stack: np.ndarray) -> list:
         """Each pencil input's angles in one batch, or None where its solve raises."""

@@ -41,7 +41,8 @@ from .errors import (
 # Relative singular-value cutoff for pseudo-inverses and rank decisions.
 PINV_RCOND = 1e-10
 
-# Bytes of Hankel matrices one batched solve may hold; larger pencils run alone.
+# Bytes of Hankel matrices one batched solve may hold, or of SPC stage-2 blocks
+# one batched resolve may hold; larger inputs run alone.
 STACK_BYTES = 1 << 20
 
 

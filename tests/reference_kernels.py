@@ -52,6 +52,18 @@ of the reduced left matrix. ``subspace_angles`` chains them as the
 estimators' ``_pencil_pipeline`` did, with its xi range check. The only edit
 is ``subspace_augment`` calling ``subspace_hankel``.
 
+``crumb_encode_label``, ``CrumbRngSpec``, ``per_segment_generate_signals``,
+``per_trial_ambiguity_set``, ``per_trial_build_disambiguation``,
+``per_trial_resolve_ambiguity`` and ``per_trial_spc_resolve`` are the trial
+synthesis and SPC stage 2 that word-array seeding, the one-draw signal block
+and the stacked stage 2 replaced, copied verbatim under new names from the
+package as it stood then: a SeedSequence built from the list [seed,
+*labels], one real and one imaginary draw per signal segment, and one
+stage-2 resolve per trial. The only edits are ``CrumbRngSpec.child``
+returning a ``CrumbRngSpec``, the per-trial functions calling each other,
+and ``package_apply_combiner`` naming the package's ``apply_combiner``,
+since this module's own is the dense one.
+
 Do not edit them to follow the package. ``dense`` is the one helper written
 for the tests: it expands the package's block-structured combiner columns
 into the dense matrices these kernels take.
@@ -61,6 +73,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +82,16 @@ import scipy.linalg
 from scipy.linalg import block_diag
 
 from pencil_doa.arrays import ArrayConfig, SnapshotBlock, SourceSet, phase_from_angle
-from pencil_doa.combiners import FC, PC, dft_column, dft_phase
+from pencil_doa.combiners import (
+    FC,
+    PC,
+    apply_combiner as package_apply_combiner,
+    dft_column,
+    dft_phase,
+    subarray_columns,
+)
+from pencil_doa.estimators import disambiguation_combiners
+from pencil_doa.pencil import PencilConfig
 from pencil_doa.errors import (
     AmbiguousGeometryError,
     ConfigError,
@@ -853,3 +875,140 @@ def dense(columns) -> np.ndarray:
     for b in range(blocks):
         out[..., b, :, b, :] = np.swapaxes(columns[..., b, :, :], -1, -2)
     return out.reshape(*lead, blocks * m_rf, blocks * width)
+
+
+def crumb_encode_label(label) -> int:
+    if isinstance(label, (int, np.integer)):
+        return int(label) & 0xFFFFFFFF
+    return zlib.crc32(str(label).encode("utf-8"))
+
+
+@dataclass(frozen=True)
+class CrumbRngSpec:
+    """Seed plus stream labels; equal specs reproduce draws bit for bit.
+
+    Independent streams are obtained by extending the label tuple, e.g.
+    ``spec.child("noise", segment_index)``.
+    """
+
+    seed: int
+    labels: tuple = ()
+
+    def child(self, *extra) -> "CrumbRngSpec":
+        return CrumbRngSpec(self.seed, self.labels + tuple(extra))
+
+    def generator(self) -> np.random.Generator:
+        crumbs = [self.seed & 0xFFFFFFFFFFFFFFFF]
+        crumbs.extend(crumb_encode_label(label) for label in self.labels)
+        return np.random.default_rng(np.random.SeedSequence(crumbs))
+
+
+def per_segment_generate_signals(sources: SourceSet, snapshots: int, segments: int,
+                                 periodic: bool, rng) -> list:
+    """Draw per-segment R-by-K source signal blocks.
+
+    Entries are zero-mean circularly symmetric complex Gaussians with
+    per-row variance equal to the source power. With ``periodic=True`` a
+    single draw is replicated across all segments.
+    """
+    if snapshots < 1 or segments < 1:
+        raise ConfigError("snapshots and segments must be positive")
+    gen = rng.generator()
+    scale = np.sqrt(np.asarray(sources.powers, dtype=float) / 2.0)[:, None]
+
+    def draw():
+        shape = (sources.count, snapshots)
+        return scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+
+    if periodic:
+        block = draw()
+        return [block.copy() for _ in range(segments)]
+    return [draw() for _ in range(segments)]
+
+
+def per_trial_ambiguity_set(base_angles_deg, m_rf: int, spacing_ratio: float) -> np.ndarray:
+    """All phases indistinguishable from each base estimate on the dilated array.
+
+    Row r holds source r's m_rf candidates mu + 2*pi*i/m_rf, ascending, one
+    per residue class of i mod m_rf, wrapped into (-pi, pi]: the class takes
+    its integer in [1 - m_rf, 0] if that candidate lies above -pi, else the
+    one in [1, m_rf]. No candidate is at or below -pi; one exceeds pi only
+    when its two integers round to either side of +-pi, and then by rounding.
+    """
+    mu = phase_from_angle(np.atleast_1d(np.asarray(base_angles_deg, dtype=float)),
+                          spacing_ratio)[:, None]
+    i = np.arange(1, m_rf + 1)
+    i = i - m_rf * (mu + 2.0 * np.pi * (i - m_rf) / m_rf > -np.pi)
+    return np.sort(mu + 2.0 * np.pi * i / m_rf, axis=1)
+
+
+def per_trial_build_disambiguation(candidates: np.ndarray, rf_chains: int) -> np.ndarray:
+    """(G, L, 1, m_rf) columns: each block steered to one of the (R, m_rf) candidates.
+
+    Slot j (1-based) of the source-major candidate list lives in combiner
+    g = ceil(j/L) at block ell = j - (g-1)L. When the candidate count is not
+    a multiple of L, the final combiner repeats the last candidate to fill.
+    """
+    flat = np.ravel(candidates)
+    slots = np.concatenate([flat, np.full(-flat.size % rf_chains, flat[-1])])
+    steered = np.exp(1j * np.arange(np.shape(candidates)[-1]) * slots[:, None])
+    return subarray_columns(steered, rf_chains)
+
+
+def per_trial_resolve_ambiguity(columns: np.ndarray, segments, candidates: np.ndarray,
+                                spacing_ratio: float) -> np.ndarray:
+    """Pick each source's candidate by the highest per-chain output SNR.
+
+    ``columns`` comes from ``build_disambiguation(candidates, ...)`` and
+    ``segments`` stacks one M-by-K2 block per combiner, (G, M, K2). The
+    metric for candidate slot (g, ell) is the mean output power of RF chain
+    ell under combiner g, normalized by the beamforming gain, minus the unit
+    noise floor. Candidates tie when their metrics are equal as floats, with
+    no tolerance; a tie goes to the candidate of smallest |phase|, and among
+    those to the first in its row, the lowest phase for ``ambiguity_set``
+    rows. Returns one angle per source, in source order; the arcsine argument
+    is clamped to [-1, 1], since a candidate may exceed pi by rounding and,
+    below half-wavelength spacing, lie outside the visible region.
+    """
+    segments = np.asarray(segments)
+    if len(segments) != len(columns):
+        raise ShapeError(f"{len(segments)} segments for {len(columns)} combiners")
+    m_rf = candidates.shape[1]
+    out = package_apply_combiner(columns, segments)
+    slots = (np.mean(np.abs(out) ** 2, axis=-1) / m_rf - 1.0).ravel()
+    angles = np.empty(len(candidates))
+    for r, cands in enumerate(candidates):
+        metrics = slots[r * m_rf:(r + 1) * m_rf]
+        if np.all(metrics <= 0.0):
+            warnings.warn(f"all candidates for source {r} at or below the "
+                          "noise floor", LowSnrWarning, stacklevel=2)
+        ties = np.nonzero(metrics == metrics.max())[0]
+        mu_hat = cands[ties[np.argmin(np.abs(cands[ties]))]]
+        sine = mu_hat / (2.0 * np.pi * spacing_ratio)
+        angles[r] = math.degrees(math.asin(min(1.0, max(-1.0, sine))))
+    return angles
+
+
+def per_trial_spc_resolve(base_angles, disambiguation_block: SnapshotBlock,
+                          cfg: PencilConfig, array: ArrayConfig,
+                          codebook: np.ndarray) -> np.ndarray:
+    """Stage 2: the true DoA among each stage-1 angle's grating-lobe candidates.
+
+    Scans candidate-steered combiners over the raw M-by-K2_total block and
+    returns the angles sorted ascending.
+    """
+    _, rf_chains, _, m_rf = codebook.shape
+    candidates = per_trial_ambiguity_set(base_angles, m_rf, array.spacing_ratio)
+    block = np.asarray(disambiguation_block)
+    g_total = disambiguation_combiners(codebook, cfg.num_sources)
+    if block.ndim != 2 or block.shape[0] != rf_chains * m_rf:
+        raise ShapeError("disambiguation block must be M by K2")
+    if block.shape[1] < g_total:
+        raise ConfigError(
+            f"disambiguation budget {block.shape[1]} below combiner count {g_total}")
+    k2 = block.shape[1] // g_total
+    chunks = block[:, :g_total * k2].reshape(rf_chains * m_rf, g_total, k2)
+    columns = per_trial_build_disambiguation(candidates, rf_chains)
+    return np.sort(per_trial_resolve_ambiguity(columns, chunks.swapaxes(0, 1),
+                                               candidates, array.spacing_ratio))
+

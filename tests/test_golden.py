@@ -6,14 +6,19 @@ scenarios, less example4's two bound scenarios, which its random per-trial
 angles make invalid. ``<preset>__<scenario>__<variant>.csv`` holds a preset
 changed as ``VARIANTS`` says. Together they pin the estimators, the bounds,
 the theta sweep and the sentinel and failure paths that the benchmark
-references do not reach.
+references do not reach. The CSV prints nine significant digits, so
+``tests/golden/bits.txt`` pins the bits: one line per record with its case
+id and ``float.hex`` of its sweep value, ``rmse_deg`` and ``root_crlb_deg``
+("-" where empty).
 
 A change meant to keep the outputs must pass this test unchanged. Rewrite the
-files only for a change meant to alter them, and say why in CHANGES.md:
+files only for a change meant to alter them, and say why in CHANGES.md; this
+regenerates the CSV files and ``bits.txt`` together:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -31,6 +36,7 @@ from pencil_doa.harness import (
 )
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+BITS_PATH = GOLDEN_DIR / "bits.txt"
 TRIALS = 4
 
 # Preset fields changed by each variant; "" is the preset as it is. In
@@ -59,10 +65,29 @@ def case_id(case: tuple) -> str:
     return "-".join(filter(None, case))
 
 
-def golden_csv(name: str, scenario: str, variant: str) -> str:
+@functools.cache
+def golden_records(name: str, scenario: str, variant: str) -> tuple:
     cfg = replace(preset(name), scenario=scenario, trials=TRIALS,
                   **VARIANTS[variant])
-    return csv_text(run_experiment(cfg))
+    return tuple(run_experiment(cfg))
+
+
+def golden_csv(name: str, scenario: str, variant: str) -> str:
+    return csv_text(golden_records(name, scenario, variant))
+
+
+def golden_bits(name: str, scenario: str, variant: str) -> list:
+    """One line per record: case id, then its floats as ``float.hex`` or "-"."""
+    case = case_id((name, scenario, variant))
+    return [" ".join([case] + ["-" if value is None else float.hex(value)
+                               for value in (rec.sweep_value, rec.rmse_deg,
+                                             rec.root_crlb_deg)])
+            for rec in golden_records(name, scenario, variant)]
+
+
+def golden_bits_lines(case: str) -> list:
+    lines = BITS_PATH.read_text(encoding="utf-8").splitlines()
+    return [line for line in lines if line.split(" ", 1)[0] == case]
 
 
 def golden_path(name: str, scenario: str, variant: str) -> Path:
@@ -73,6 +98,9 @@ def test_corpus_covers_every_case():
     assert len(golden_cases()) == 23
     assert sorted(GOLDEN_DIR.glob("*.csv")) == sorted(
         golden_path(*case) for case in golden_cases())
+    lines = BITS_PATH.read_text(encoding="utf-8").splitlines()
+    assert {line.split(" ", 1)[0] for line in lines} == {
+        case_id(case) for case in golden_cases()}
 
 
 @pytest.mark.parametrize("name,scenario,variant", golden_cases(),
@@ -82,8 +110,17 @@ def test_csv_matches_golden(name, scenario, variant):
     assert golden_csv(name, scenario, variant).encode("utf-8") == expected
 
 
+@pytest.mark.parametrize("name,scenario,variant", golden_cases(),
+                         ids=[case_id(case) for case in golden_cases()])
+def test_bits_match_golden(name, scenario, variant):
+    expected = golden_bits_lines(case_id((name, scenario, variant)))
+    assert golden_bits(name, scenario, variant) == expected
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     for case in golden_cases():
         golden_path(*case).write_bytes(golden_csv(*case).encode("utf-8"))
+    BITS_PATH.write_text("".join(line + "\n" for case in golden_cases()
+                                 for line in golden_bits(*case)), encoding="utf-8")

@@ -4,15 +4,18 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pencil_doa import harness
 from pencil_doa.cli import build_parser
 from pencil_doa.cli import main as cli_main
-from pencil_doa.errors import ConfigError
+from pencil_doa.errors import ConfigError, LowSnrWarning, OutOfRangeWarning
 from pencil_doa.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -91,6 +94,16 @@ class TestConfigValidation:
         cfg = ExperimentConfig(scenario="fd_mpm", sweep="snapshots",
                                grid=(budget, 2), snr_db=(10.0,))
         with pytest.raises(ConfigError, match="grid: snapshot budgets"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("changes", [
+        {"angles_deg": (10.0, 10.0)},
+        {"angles_deg": (10.0, -0.0, 0.0), "sweep": "snapshots", "grid": (64,)},
+        {"angles_deg": (10.0,), "sweep": "separation", "grid": (2.0, 1e-20)},
+    ], ids=["snr", "signed-zero", "separation-below-rounding"])
+    def test_coincident_sources_rejected(self, changes):
+        cfg = ExperimentConfig(scenario="fd_mpm", snr_db=(10.0,), **changes)
+        with pytest.raises(ConfigError, match="angles_deg|grid"):
             cfg.validate()
 
     def test_edge_offset_past_broadside_rejected(self):
@@ -225,6 +238,27 @@ class TestRunExperiment:
         expected = pooled_root_deg(crlb_fd(ArrayConfig(32, 0.5),
                                            SourceSet((0.0,), (100.0,)), 32))
         assert rec.root_crlb_deg == pytest.approx(expected, rel=1e-12)
+
+
+class TestWarningCounts:
+    def test_stacked_spc_point_warns_like_per_trial(self, monkeypatch):
+        # at -10 dB the stage-2 scan finds sources at the noise floor, and
+        # the short spacing lets stage-1 eigenvalues map past the arcsine
+        cfg = ExperimentConfig(scenario="spc_mpm", m=16, l=8, spacing_ratio=0.1,
+                               snapshots=32, angles_deg=(20.0, -35.0),
+                               snr_db=None, sweep="snr", grid=(-10.0,),
+                               trials=40, seed=7)
+
+        def run():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                records = run_experiment(cfg)
+            return records, Counter(type(w.message) for w in caught)
+
+        stacked = run()
+        monkeypatch.setattr(harness, "stack_size", lambda *_: 1)
+        assert run() == stacked
+        assert stacked[1][LowSnrWarning] > 0 and stacked[1][OutOfRangeWarning] > 0
 
 
 class TestCsv:
@@ -494,6 +528,18 @@ class TestCli:
             assert row[2:6] == ["", row[3], "0", "0"]
         else:
             assert row[2] == "-1.00000000" and row[4:6] == ["1", "1"]
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--scenario", "fd_mpm", "--angles-deg", "10,10"],
+        ["crlb", "--angles-deg", "10,10"],
+        ["preset", "example3", "--grid", "0"],
+    ], ids=["run", "crlb", "separation"])
+    def test_duplicate_source_angles_exit_2(self, args, capsys):
+        rc = cli_main(args + ["--trials", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "configuration error:" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("power", ["nan", "inf"])
     def test_non_finite_power_exits_2(self, power, capsys):
