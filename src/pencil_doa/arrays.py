@@ -1,4 +1,4 @@
-"""Uniform linear array model: steering, source/noise synthesis, RMSE bookkeeping.
+"""Uniform linear array model: steering, seeded streams, synthesis, RMSE bookkeeping.
 
 Public APIs take and return angles in degrees; internal phase math is in
 radians. The inter-element phase of a source at angle ``theta`` is
@@ -7,6 +7,7 @@ radians. The inter-element phase of a source at angle ``theta`` is
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass
@@ -24,6 +25,8 @@ from .errors import (
 
 SnapshotBlock = np.ndarray
 """Complex channels-by-snapshots matrix (raw, combined, or aggregated samples)."""
+
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def _encode_label(label) -> int:
@@ -46,8 +49,8 @@ class RngSpec:
     def child(self, *extra) -> "RngSpec":
         return RngSpec(self.seed, self.labels + tuple(extra))
 
-    def generator(self) -> np.random.Generator:
-        """PCG64 seeded from the 64-bit seed's words, low first, then one per label.
+    def words(self) -> np.ndarray:
+        """The uint32 entropy words: the 64-bit seed, low word first, then one per label.
 
         These are the words numpy's SeedSequence makes of the list [seed,
         *labels]: one for a seed below 2**32 (0 included), else two.
@@ -55,8 +58,115 @@ class RngSpec:
         seed = self.seed & 0xFFFFFFFFFFFFFFFF
         words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
         words.extend(_encode_label(label) for label in self.labels)
-        return np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(np.array(words, dtype=np.uint32))))
+        return np.array(words, dtype=np.uint32)
+
+    def generator(self) -> np.random.Generator:
+        """PCG64 seeded through a SeedSequence of ``words()``, one stream alone."""
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.words())))
+
+
+def child_words(spec: RngSpec, indices, labels) -> np.ndarray:
+    """(I, P, W) words of ``spec.child(i, *label)`` for each of I indices and P labels.
+
+    ``labels`` is a list of label tuples, all of one length.
+    """
+    head = spec.words()
+    index = (np.asarray(indices, dtype=np.int64) & 0xFFFFFFFF).astype(np.uint32)
+    tails = np.array([[_encode_label(x) for x in label] for label in labels],
+                     dtype=np.uint32)
+    words = np.empty((index.size, len(labels), head.size + 1 + tails.shape[1]),
+                     dtype=np.uint32)
+    words[..., :head.size] = head
+    words[..., head.size] = index[:, None]
+    words[..., head.size + 1:] = tails
+    return words
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**j mod 2**32 for j = 0..count."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+def seed_states(words) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row at once.
+
+    ``words`` is a (..., W) uint32 array of entropy rows (``RngSpec.words``
+    or ``child_words``); the result is the C-ordered (..., 4) uint64 array of
+    PCG64 seeds. This is numpy's pool-of-four SeedSequence hash in uint32
+    array arithmetic: ``mix_entropy`` then ``generate_state``. A row shorter
+    than the pool hashes as if padded with zero words, as numpy's does.
+    """
+    words = np.asarray(words, dtype=np.uint32)
+    width = words.shape[-1]
+    const = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(width - 4, 0))
+    used = 0
+
+    def hashmix(value, n):  # n consecutive hash constants, one per column
+        nonlocal used
+        value = (value ^ const[used:used + n]) * const[used + 1:used + n + 1]
+        used += n
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_L - y * _MIX_R
+        return result ^ (result >> 16)
+
+    pool = np.zeros(words.shape[:-1] + (4,), dtype=np.uint32)
+    pool[..., :width] = words[..., :4]
+    pool = hashmix(pool, 4)
+    for src in range(4):  # every pool word into each of the others, in order
+        dst = [d for d in range(4) if d != src]
+        pool[..., dst] = mix(pool[..., dst], hashmix(pool[..., src:src + 1], 3))
+    for i in range(4, width):  # each further word into the whole pool
+        pool = mix(pool, hashmix(words[..., i:i + 1], 4))
+    const = _hash_constants(_INIT_B, _MULT_B, 8)
+    state = (np.tile(pool, 2) ^ const[:-1]) * const[1:]  # cycles the pool twice
+    state ^= state >> 16
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_state_type() -> type:
+    """The SeedSequence stand-in that hands PCG64 one row of ``seed_states``.
+
+    Built on first use, so that importing the package does not import
+    numpy.random: doing so moves the benchmark's peak RSS by about 0.9 MB.
+    """
+
+    class SeedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a seed state holds 4 uint64 words, not "
+                                 f"{n_words} {np.dtype(dtype)}")
+            # PCG64 reads the words from the array's memory
+            return np.ascontiguousarray(self.state, dtype=np.uint64)
+
+    return SeedState
+
+
+def state_generator(state) -> np.random.Generator:
+    """The generator of the spec whose ``seed_states`` row is ``state``.
+
+    Equal to that spec's ``generator()``: PCG64 seeds itself from the row,
+    through a stand-in for the SeedSequence.
+    """
+    return np.random.Generator(np.random.PCG64(_seed_state_type()(state)))
+
+
+def _generator(rng) -> np.random.Generator:
+    return rng if isinstance(rng, np.random.Generator) else rng.generator()
 
 
 @dataclass(frozen=True)
@@ -125,46 +235,66 @@ def steering_matrix(cfg: ArrayConfig, sources: SourceSet) -> np.ndarray:
 
 
 def generate_signals(sources: SourceSet, snapshots: int, segments: int,
-                     periodic: bool, rng: RngSpec) -> list:
-    """Draw per-segment R-by-K source signal blocks.
+                     periodic: bool, rng) -> np.ndarray:
+    """Draw the (segments, R, K) source signal blocks from ``rng``.
 
-    Entries are zero-mean circularly symmetric complex Gaussians with
-    per-row variance equal to the source power. With ``periodic=True`` a
-    single draw is replicated across all segments. Otherwise one
-    (segments, 2, R, K) draw supplies each segment's real then imaginary
-    parts, in the order of one draw per part and segment.
+    ``rng`` is an ``RngSpec`` or a generator. Entries are zero-mean
+    circularly symmetric complex Gaussians with per-row variance equal to
+    the source power. With ``periodic=True`` a single draw is replicated
+    across all segments. Otherwise one (segments, 2, R, K) draw supplies each
+    segment's real then imaginary parts, in the order of one draw per part
+    and segment; for one segment both forms draw the same block.
     """
     if snapshots < 1 or segments < 1:
         raise ConfigError("snapshots and segments must be positive")
-    gen = rng.generator()
+    gen = _generator(rng)
     scale = np.sqrt(np.asarray(sources.powers, dtype=float) / 2.0)[:, None]
     if periodic:
         shape = (sources.count, snapshots)
         block = scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
-        return [block.copy() for _ in range(segments)]
+        return np.repeat(block[None], segments, axis=0)
     parts = gen.standard_normal((segments, 2, sources.count, snapshots))
-    return list(scale * (parts[:, 0] + 1j * parts[:, 1]))
+    return scale * (parts[:, 0] + 1j * parts[:, 1])
 
 
-def generate_noise(channels: int, snapshots: int, rng: RngSpec) -> SnapshotBlock:
-    """Unit-variance circularly symmetric complex Gaussian noise block."""
+def generate_noise(channels: int, snapshots: int, rng, out=None) -> SnapshotBlock:
+    """Unit-variance circularly symmetric complex Gaussian noise block.
+
+    ``rng`` is an ``RngSpec`` or a generator. The real then the imaginary
+    part is drawn and scaled by sqrt(1/2), into ``out`` when given: a
+    complex (channels, snapshots) array, such as one segment of a larger
+    block.
+    """
     if channels < 1 or snapshots < 1:
         raise ConfigError("channels and snapshots must be positive")
-    gen = rng.generator()
     shape = (channels, snapshots)
-    return np.sqrt(0.5) * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif out.shape != shape or out.dtype != complex:
+        raise ShapeError(f"noise output {out.shape} {out.dtype} is not {shape} complex")
+    gen = _generator(rng)
+    np.multiply(gen.standard_normal(shape), _SQRT_HALF, out=out.real)
+    np.multiply(gen.standard_normal(shape), _SQRT_HALF, out=out.imag)
+    return out
 
 
-def receive_fd(a: np.ndarray, signals: np.ndarray,
-               noise: SnapshotBlock) -> SnapshotBlock:
-    """Fully-digital receive model: steering ``a``, (M, R), times signals plus noise."""
+def receive_fd(a: np.ndarray, signals: np.ndarray, noise: SnapshotBlock,
+               out=None) -> SnapshotBlock:
+    """Fully-digital receive model: steering ``a``, (M, R), times signals plus noise.
+
+    ``noise`` is (..., M, K) and ``signals`` (..., R, K), with leading
+    segment axes equal to the noise's or of length one: one signal block
+    reaches every segment. ``out`` may be ``noise`` itself, to add in place.
+    """
     signals = np.asarray(signals)
     noise = np.asarray(noise)
-    if signals.ndim != 2 or a.shape[1] != signals.shape[0]:
+    if signals.ndim < 2 or a.shape[1] != signals.shape[-2]:
         raise ShapeError(f"signal block {signals.shape} does not match {a.shape[1]} sources")
-    if noise.shape != (a.shape[0], signals.shape[1]):
+    lead = signals.shape[:-2]
+    if noise.shape[-2:] != (a.shape[0], signals.shape[-1]) or signals.ndim > noise.ndim \
+            or lead not in (noise.shape[noise.ndim - signals.ndim:-2], (1,) * len(lead)):
         raise ShapeError(f"noise block {noise.shape} does not match output shape")
-    return a @ signals + noise
+    return np.add(a @ signals, noise, out=out)
 
 
 def paired_squared_errors(estimates_deg, truth_deg) -> np.ndarray:

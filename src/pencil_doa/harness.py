@@ -3,10 +3,12 @@
 A run sweeps one axis (snr, theta, snapshots, or separation), executes D
 seeded trials per sweep point, and reports pooled RMSE next to the matching
 root bound. Per-trial RNG streams derive from (seed, sweep index, trial
-index). Trials are drawn serially in index order and reduced to their
-compressed pencil inputs, and each run of ``stack_size`` trials is solved in
-one batched pencil call; SPC stage 2 then resolves that run's solved trials
-in stacks of at most ``STACK_BYTES`` of blocks.
+index). A sweep point seeds the streams of a chunk of trials in one pass,
+and each trial draws its segments into one receive block. Trials are drawn
+serially in index order and reduced to their compressed pencil inputs, and
+each run of ``stack_size`` trials is solved in one batched pencil call; SPC
+stage 2 then resolves that run's solved trials in stacks of at most
+``STACK_BYTES`` of blocks.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -21,10 +24,13 @@ from .arrays import (
     ArrayConfig,
     RngSpec,
     SourceSet,
+    child_words,
     generate_noise,
     generate_signals,
     paired_squared_errors,
     receive_fd,
+    seed_states,
+    state_generator,
     steering_matrix,
 )
 from .combiners import FC, PC, HadConfig, apply_combiner, build_codebook
@@ -107,6 +113,12 @@ class ExperimentConfig:
         if self.scenario in ARCHITECTURES:
             if self.l < 1 or self.l >= self.m or self.m % self.l:
                 raise ConfigError("l: RF chains must divide m and satisfy L < M")
+        if self.xi is not None and self.scenario in ESTIMATOR_SCENARIOS:
+            r = _source_count(self)
+            c = self.l if self.scenario == "spc_mpm" else self.m
+            if not r <= self.xi <= c - r:
+                raise ConfigError(f"xi: {self.xi} outside [R, C-R] = [{r}, {c - r}] "
+                                  f"for R={r} sources on C={c} channels")
         if self.sweep == "snr":
             if self.powers is not None and self.snr_db is not None:
                 raise ConfigError("sources: powers and snr_db are exclusive")
@@ -152,14 +164,35 @@ class ResultRecord:
     wall_ms: int
 
 
-def _draw_angles(rng: RngSpec, r: int, edge_offset: float) -> tuple:
-    gen = rng.generator()
+def _draw_angles(gen: np.random.Generator, r: int, edge_offset: float) -> tuple:
     lo, hi = -90.0 + edge_offset, 90.0 - edge_offset
     for _ in range(100):
         angles = np.sort(gen.uniform(lo, hi, size=r))
         if r == 1 or np.min(np.diff(angles)) >= 1.0:
             return tuple(angles)
     raise ConfigError("could not draw sufficiently separated random angles")
+
+
+def _receive(block: np.ndarray, steer, sources: SourceSet, signal, noise,
+             periodic: bool = False) -> None:
+    """Fill the (N, M, K) block with each segment's steered signals plus noise.
+
+    Segment n takes its noise from generator n of ``noise``, or none where
+    ``noise`` is None. A periodic signal is drawn once, and its one M-by-K
+    product reaches every segment.
+    """
+    segments, m, k = block.shape
+    if noise is None:
+        block.fill(0.0)
+    else:
+        for out, gen in zip(block, noise):
+            generate_noise(m, k, gen, out=out)
+    signals = generate_signals(sources, k, 1 if periodic else segments, periodic, signal)
+    receive_fd(steer, signals, block, out=block)
+
+
+def _source_count(cfg: ExperimentConfig) -> int:
+    return 2 if cfg.sweep == "separation" else max(1, len(cfg.angles_deg))
 
 
 def _receiver(cfg: ExperimentConfig) -> tuple:
@@ -172,8 +205,7 @@ def _receiver(cfg: ExperimentConfig) -> tuple:
     xi = cfg.xi
     if xi is None:
         xi = (cfg.l if cfg.scenario in TWO_STAGE else cfg.m) // 2
-    num_sources = 2 if cfg.sweep == "separation" else max(1, len(cfg.angles_deg))
-    return array, codebook, PencilConfig(xi, num_sources)
+    return array, codebook, PencilConfig(xi, _source_count(cfg))
 
 
 class _SweepPoint:
@@ -214,6 +246,17 @@ class _SweepPoint:
         # SPC solves its pencil on the virtual array dilated by m_rf
         self.dilation = self.codebook.shape[-1] if self.two_stage else 1
 
+        # the labels after (sweep, trial) of every stream a trial can draw,
+        # grouped by length for seeding
+        self.noise = [] if self.noiseless else [("noise",)] if self.codebook is None \
+            else [("noise", i) for i in range(len(self.codebook))]
+        labels = [("theta",)] * cfg.random_theta + [("signal",)] + self.noise
+        if self.two_stage:
+            labels += [("signal2",)] + [("noise2",)] * (not self.noiseless)
+        self.labels = sorted(labels, key=len)
+        self.columns = {label: i for i, label in enumerate(self.labels)}
+        self.seeded = (None, 0, 0)  # (sweep index, trials first..end) in self.states
+
     def run(self, sweep_index: int) -> tuple[float, int]:
         """(pooled RMSE, failures) over the trials; RMSE -1 past the failure limit.
 
@@ -240,7 +283,7 @@ class _SweepPoint:
                       if estimates is not None]
             failures += len(drawn) - len(solved)
             if self.two_stage:
-                solved = self._resolve(solved)
+                solved = self._resolve(sweep_index, solved)
             for (_, _, sources, _), estimates in solved:
                 sq = paired_squared_errors(estimates, sources.angles_deg)
                 total_sq += float(np.sum(sq))  # index order keeps the sum exact
@@ -249,25 +292,33 @@ class _SweepPoint:
             return SENTINEL_RMSE, failures
         return math.sqrt(total_sq / count), failures
 
-    def _receive(self, steer, sources: SourceSet, k: int, signal_rng: RngSpec,
-                 noise_rngs: list, periodic: bool = False) -> list:
-        """One M-by-k block per noise stream; zero noise at a noiseless point."""
-        signals = generate_signals(sources, k, len(noise_rngs), periodic, signal_rng)
-        blocks = []
-        for sig, noise_rng in zip(signals, noise_rngs):
-            if self.noiseless:
-                noise = np.zeros((self.cfg.m, k), dtype=complex)
-            else:
-                noise = generate_noise(self.cfg.m, k, noise_rng)
-            blocks.append(receive_fd(steer, sig, noise))
-        return blocks
+    def _stream(self, sweep_index: int, trial_index: int, *label) -> np.random.Generator:
+        """The generator of ``RngSpec(seed).child(sweep_index, trial_index, *label)``.
 
-    def _sources(self, rng: RngSpec) -> tuple:
+        The streams of a chunk of trials, STACK_BYTES of seed states at 32
+        bytes per stream, are seeded in one pass when a trial of it first
+        draws.
+        """
+        sweep, first, end = self.seeded
+        if sweep != sweep_index or not first <= trial_index < end:
+            chunk = max(1, STACK_BYTES // (32 * len(self.labels)))
+            first = trial_index - trial_index % chunk
+            end = max(min(first + chunk, self.cfg.trials), trial_index + 1)
+            spec, trials = RngSpec(self.cfg.seed, (sweep_index,)), np.arange(first, end)
+            self.states = np.concatenate(
+                [seed_states(child_words(spec, trials, list(group)))
+                 for _, group in groupby(self.labels, len)], axis=1).reshape(-1, 4)
+            self.seeded = sweep_index, first, end
+        row = (trial_index - first) * len(self.labels) + self.columns[label]
+        return state_generator(self.states[row])
+
+    def _sources(self, sweep_index: int, trial_index: int) -> tuple:
         """(sources, steering) of one trial; at fixed angles, the first trial's."""
         if self.fixed is not None:
             return self.fixed
-        angles = self.angles or _draw_angles(rng.child("theta"), self.pencil.num_sources,
-                                             self.cfg.edge_offset_deg)
+        angles = self.angles or _draw_angles(
+            self._stream(sweep_index, trial_index, "theta"), self.pencil.num_sources,
+            self.cfg.edge_offset_deg)
         sources = SourceSet(angles, self.powers)
         built = sources, steering_matrix(self.array, sources)
         if self.angles:
@@ -275,30 +326,29 @@ class _SweepPoint:
         return built
 
     def _draw(self, sweep_index: int, trial_index: int) -> tuple:
-        """(rng, steering, sources, compressed pencil input) of one trial.
+        """(trial index, steering, sources, compressed pencil input) of one trial.
 
-        The pencil input is the FD block, the PMPM aggregate or the SPC
-        stage-1 outputs, as (K, C) snapshots.
+        The trial's segments are drawn into one (N, M, K) block. The pencil
+        input is the FD block, the PMPM aggregate or the SPC stage-1
+        outputs, as (K, C) snapshots.
         """
-        rng = RngSpec(self.cfg.seed).child(sweep_index, trial_index)
-        sources, steer = self._sources(rng)
-
+        sources, steer = self._sources(sweep_index, trial_index)
+        segments = 1 if self.codebook is None else len(self.codebook)
+        block = np.empty((segments, self.cfg.m, self.k), dtype=complex)
+        noise = None if self.noiseless else \
+            [self._stream(sweep_index, trial_index, *label) for label in self.noise]
+        # PMPM repeats one signal block over the codebook
+        _receive(block, steer, sources, self._stream(sweep_index, trial_index, "signal"),
+                 noise, periodic=self.codebook is not None and not self.two_stage)
         if self.codebook is None:
-            x = self._receive(steer, sources, self.k, rng.child("signal"),
-                              [rng.child("noise")])[0].T
+            x = block[0].T
+        elif self.two_stage:
+            x = spc_snapshots(block, self.codebook)
         else:
-            noise_rngs = [rng.child("noise", i) for i in range(len(self.codebook))]
-            # PMPM repeats one signal block over the codebook
-            segments = self._receive(steer, sources, self.k, rng.child("signal"),
-                                     noise_rngs, periodic=not self.two_stage)
-            if self.two_stage:
-                x = spc_snapshots(segments, self.codebook)
-            else:
-                x = pmpm_aggregate(apply_combiner(self.codebook, segments),
-                                   self.codebook).T
-        return rng, steer, sources, compress(x)
+            x = pmpm_aggregate(apply_combiner(self.codebook, block), self.codebook).T
+        return trial_index, steer, sources, compress(x)
 
-    def _resolve(self, solved: list) -> list:
+    def _resolve(self, sweep_index: int, solved: list) -> list:
         """SPC stage 2 of each (trial, stage-1 angles), in order.
 
         Each trial's M-by-K2 block is drawn in trial order, and the blocks
@@ -308,11 +358,11 @@ class _SweepPoint:
         resolved = []
         for first in range(0, len(solved), step):
             part = solved[first:first + step]
-            blocks = np.empty((len(part), self.cfg.m, self.k2), dtype=complex)
-            for block, ((rng, steer, sources, _), _) in zip(blocks, part):
-                block[...] = self._receive(steer, sources, self.k2, rng.child("signal2"),
-                                           [rng.child("noise2")])[0]
-            angles = spc_resolve(np.stack([base for _, base in part]), blocks,
+            blocks = np.empty((len(part), 1, self.cfg.m, self.k2), dtype=complex)
+            for block, ((t, steer, sources, _), _) in zip(blocks, part):
+                noise = None if self.noiseless else [self._stream(sweep_index, t, "noise2")]
+                _receive(block, steer, sources, self._stream(sweep_index, t, "signal2"), noise)
+            angles = spc_resolve(np.stack([base for _, base in part]), blocks[:, 0],
                                  self.pencil, self.array, self.codebook)
             resolved.extend(zip([trial for trial, _ in part], angles))
         return resolved

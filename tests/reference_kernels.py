@@ -64,6 +64,16 @@ returning a ``CrumbRngSpec``, the per-trial functions calling each other,
 and ``package_apply_combiner`` naming the package's ``apply_combiner``,
 since this module's own is the dense one.
 
+``per_segment_generate_noise``, ``per_segment_receive_fd`` and
+``per_segment_receive`` are the per-segment receive path that one block per
+trial replaced, copied verbatim under new names from the package as it
+stood then: ``generate_noise``, ``receive_fd`` and the method
+``_SweepPoint._receive``, which builds one noise block and one M-by-K sum
+per segment. ``per_segment_receive`` takes its sweep point as ``self``, an
+object with ``noiseless`` and ``cfg.m``. The only edits are the new names
+and ``per_segment_receive`` calling ``per_segment_generate_signals`` and
+the two other functions here.
+
 Do not edit them to follow the package. ``dense`` is the one helper written
 for the tests: it expands the package's block-structured combiner columns
 into the dense matrices these kernels take.
@@ -1012,3 +1022,39 @@ def per_trial_spc_resolve(base_angles, disambiguation_block: SnapshotBlock,
     return np.sort(per_trial_resolve_ambiguity(columns, chunks.swapaxes(0, 1),
                                                candidates, array.spacing_ratio))
 
+
+
+def per_segment_generate_noise(channels: int, snapshots: int, rng) -> SnapshotBlock:
+    """Unit-variance circularly symmetric complex Gaussian noise block."""
+    if channels < 1 or snapshots < 1:
+        raise ConfigError("channels and snapshots must be positive")
+    gen = rng.generator()
+    shape = (channels, snapshots)
+    return np.sqrt(0.5) * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+
+
+def per_segment_receive_fd(a: np.ndarray, signals: np.ndarray,
+                           noise: SnapshotBlock) -> SnapshotBlock:
+    """Fully-digital receive model: steering ``a``, (M, R), times signals plus noise."""
+    signals = np.asarray(signals)
+    noise = np.asarray(noise)
+    if signals.ndim != 2 or a.shape[1] != signals.shape[0]:
+        raise ShapeError(f"signal block {signals.shape} does not match {a.shape[1]} sources")
+    if noise.shape != (a.shape[0], signals.shape[1]):
+        raise ShapeError(f"noise block {noise.shape} does not match output shape")
+    return a @ signals + noise
+
+
+def per_segment_receive(self, steer, sources: SourceSet, k: int, signal_rng,
+                        noise_rngs: list, periodic: bool = False) -> list:
+    """One M-by-k block per noise stream; zero noise at a noiseless point."""
+    signals = per_segment_generate_signals(sources, k, len(noise_rngs), periodic,
+                                           signal_rng)
+    blocks = []
+    for sig, noise_rng in zip(signals, noise_rngs):
+        if self.noiseless:
+            noise = np.zeros((self.cfg.m, k), dtype=complex)
+        else:
+            noise = per_segment_generate_noise(self.cfg.m, k, noise_rng)
+        blocks.append(per_segment_receive_fd(steer, sig, noise))
+    return blocks

@@ -137,6 +137,21 @@ class TestNoise:
         var = np.mean(np.abs(z) ** 2, axis=1)
         npt.assert_allclose(var, 1.0, rtol=0.05)
 
+    def test_into_a_segment_of_a_block(self):
+        spec = RngSpec(12, ("noise", 1))
+        block = np.full((3, 4, 5), np.nan, dtype=complex)
+        out = block[1]
+        assert generate_noise(4, 5, spec, out=out) is out
+        npt.assert_array_equal(block[1], generate_noise(4, 5, spec))
+        npt.assert_array_equal(block[1], generate_noise(4, 5, spec.generator()))
+        assert np.isnan(block[[0, 2]]).all()
+
+    @pytest.mark.parametrize("shape,dtype", [((4, 6), complex), ((5, 4), complex),
+                                             ((4, 5), float)])
+    def test_out_must_be_the_complex_block(self, shape, dtype):
+        with pytest.raises(ShapeError):
+            generate_noise(4, 5, RngSpec(1), out=np.empty(shape, dtype=dtype))
+
 
 class TestReceiveFd:
     def test_ones_signal_propagates_column(self):
@@ -177,6 +192,26 @@ class TestReceiveFd:
             receive_fd(sm, np.zeros((2, 4)), np.zeros((3, 4)))
         with pytest.raises(ShapeError):
             receive_fd(sm, np.zeros((1, 4)), np.zeros((3, 5)))
+
+    def test_segments_take_their_signals_or_one_shared_block(self):
+        sm = steering_matrix(ArrayConfig(4, 0.5), SourceSet((-20.0, 35.0), (1.0, 2.0)))
+        gen = np.random.default_rng(3)
+        s = gen.standard_normal((3, 2, 5)) + 1j * gen.standard_normal((3, 2, 5))
+        z = gen.standard_normal((3, 4, 5)) + 1j * gen.standard_normal((3, 4, 5))
+        for signals, pick in ((s, [0, 1, 2]), (s[:1], [0, 0, 0]), (s[0], [0, 0, 0])):
+            want = np.stack([sm @ s[p] + z[n] for n, p in enumerate(pick)])
+            npt.assert_array_equal(receive_fd(sm, signals, z), want)
+            block = z.copy()
+            assert receive_fd(sm, signals, block, out=block) is block
+            npt.assert_array_equal(block, want)
+
+    @pytest.mark.parametrize("signals,noise", [
+        ((2, 1, 4), (3, 3, 4)), ((1, 1, 4), (3, 4)), ((3, 1, 4), (3, 4)),
+        ((1,), (3, 1))])
+    def test_segment_axes_must_match(self, signals, noise):
+        sm = steering_matrix(ArrayConfig(3, 0.5), SourceSet((0.0,), (1.0,)))
+        with pytest.raises(ShapeError):
+            receive_fd(sm, np.zeros(signals), np.zeros(noise, dtype=complex))
 
     def test_receive_snr_equals_source_power(self):
         # noiseless per-channel power averaged over the array is trace-based

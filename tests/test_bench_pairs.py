@@ -1,0 +1,104 @@
+"""tools/bench_pairs.py against fake checkouts whose run.py prints a fixed result."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import bench_pairs  # noqa: E402
+
+METRICS = [{"name": "trials_per_s", "better": "higher"},
+           {"name": "peak_rss_mb", "better": "lower"}]
+
+
+def result(trials_per_s, peak_rss_mb, correct=True):
+    return {"correct": correct, "attempted": 100, "failed": 0,
+            "metrics": {"trials_per_s": {"value": trials_per_s, "unit": "1/s"},
+                        "point_ms_p50": {"value": 30.0, "unit": "ms"},
+                        "setup_s": {"value": 0.15, "unit": "s"},
+                        "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}}}
+
+
+def checkout(tmp_path, name, printed, status=0):
+    """A directory whose perfbench/run.py prints ``printed`` and exits ``status``."""
+    root = tmp_path / name
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        f"import sys\nprint('{{}}')\nprint({json.dumps(printed)!r})\nsys.exit({status})\n")
+    return root
+
+
+class TestSummary:
+    def test_quartiles_pairs_won_and_table(self):
+        pairs = [(result(100.0 + i, 40.0), result(120.0 + i, 40.5 - (i == 2)))
+                 for i in range(5)]
+        pairs[4] = (result(130.0, 40.0), result(125.0, 41.0))
+        rows = bench_pairs.compare(pairs, METRICS)
+        assert [row["won"] for row in rows] == [4, 1]
+        assert rows[0]["parent"] == (102.0, 100.5, 116.5)
+        text = bench_pairs.table("spc_mpm_snr", 127, 5, rows)
+        head, rule, row = text.splitlines()
+        assert head == "| workload | seeds, pairs | trials_per_s | peak_rss_mb |"
+        assert rule == "| --- | --- | --- | --- |"
+        assert row.startswith("| `spc_mpm_snr` | 127, 5 | 102.0 [100.5, 116.5] -> "
+                              "122.0 [120.5, 124.0], 4/5 | 40.0 [40.0, 40.0] -> ")
+        assert row.endswith(", 1/5 |")
+
+    def test_verdict_compares_gap_with_parent_spread(self):
+        pairs = [(result(100.0 + i, 40.0 + i), result(110.0 + i, 40.0 + i))
+                 for i in range(10)]
+        trials, rss = bench_pairs.verdicts(bench_pairs.compare(pairs, METRICS), 10)
+        assert "(+9.6%), won 10/10" in trials
+        assert "gap in the better direction 10.0 above" in trials
+        assert "won 0/10" in rss and "not above" in rss
+
+    def test_one_pair(self):
+        rows = bench_pairs.compare([(result(1.0, 2.0), result(2.0, 1.0))], METRICS)
+        assert rows[0]["parent"] == (1.0, 1.0, 1.0) and rows[1]["won"] == 1
+
+    def test_order_alternates_inside_pairs(self):
+        calls = []
+
+        def run(side):
+            calls.append(side)
+            return result(1.0, 1.0)
+
+        assert len(bench_pairs.run_pairs(run, 3, log=lambda line: None)) == 3
+        assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+
+
+class TestRuns:
+    def test_pairs_from_two_checkouts(self, tmp_path, capsys):
+        parent = checkout(tmp_path, "parent", result(100.0, 40.0))
+        change = checkout(tmp_path, "change", result(150.0, 40.0))
+        rc = bench_pairs.main([str(parent), str(change), "--workload", "w",
+                               "--seconds", "1", "--pairs", "2"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "| `w` | 0, 2 | 100.0 [100.0, 100.0] -> 150.0 [150.0, 150.0], 2/2 |" in out
+        assert "failed trials: parent 0, change 0" in out
+
+    def test_incorrect_run_exits_1(self, tmp_path, capsys):
+        parent = checkout(tmp_path, "parent", result(100.0, 40.0))
+        change = checkout(tmp_path, "change", {"correct": False, "error": "mismatch"},
+                          status=1)
+        rc = bench_pairs.main([str(parent), str(change), "--workload", "w",
+                               "--seconds", "1", "--pairs", "2"])
+        assert rc == 1
+        assert '"correct": false' in capsys.readouterr().err
+
+    def test_run_without_result_exits_2(self, tmp_path, capsys):
+        parent = checkout(tmp_path, "parent", result(100.0, 40.0))
+        broken = tmp_path / "broken"
+        (broken / "perfbench").mkdir(parents=True)
+        (broken / "perfbench" / "run.py").write_text("raise SystemExit(3)\n")
+        rc = bench_pairs.main([str(parent), str(broken), "--workload", "w",
+                               "--seconds", "1", "--pairs", "1"])
+        assert rc == 2
+        assert "exit 3" in capsys.readouterr().err
+
+    def test_pairs_must_be_positive(self):
+        with pytest.raises(SystemExit):
+            bench_pairs.parse_args(["a", "b", "--workload", "w", "--pairs", "0"])

@@ -106,6 +106,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="angles_deg|grid"):
             cfg.validate()
 
+    @pytest.mark.parametrize("changes", [
+        {"xi": 0}, {"xi": -3}, {"xi": 100}, {"xi": 8},
+        {"scenario": "pmpm_fc", "l": 2, "xi": 8},
+        {"scenario": "spc_mpm", "m": 16, "l": 4, "xi": 9},
+        {"scenario": "spc_mpm", "m": 16, "l": 4, "xi": 4},
+        {"angles_deg": (0.0, 20.0, 40.0), "xi": 2},
+        {"angles_deg": (-15.0,), "sweep": "separation", "grid": (2.0,), "xi": 7},
+    ], ids=["zero", "negative", "large", "equal-c", "pmpm-full-aperture",
+            "spc-past-l", "spc-l-minus-0", "below-r", "separation-two-sources"])
+    def test_explicit_xi_outside_pencil_range_rejected(self, changes):
+        # C is L for the single-phase pencil and M otherwise; R as _receiver counts
+        cfg = ExperimentConfig(**{"scenario": "fd_mpm", "m": 8, **changes})
+        with pytest.raises(ConfigError, match="xi:"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("changes", [
+        {"xi": 1}, {"xi": 7}, {"scenario": "spc_mpm", "m": 16, "l": 4, "xi": 3},
+        {"angles_deg": (0.0, 20.0, 40.0), "xi": 5},
+        {"angles_deg": (0.0, 20.0, 40.0, 60.0, 80.0)},  # default xi: sentinel rows
+        {"scenario": "crlb_fd", "xi": 100},  # bounds solve no pencil
+    ], ids=["r", "c-minus-r", "spc", "three-sources", "default", "bound"])
+    def test_xi_inside_pencil_range_or_unused_accepted(self, changes):
+        ExperimentConfig(**{"scenario": "fd_mpm", "m": 8, **changes}).validate()
+
     def test_edge_offset_past_broadside_rejected(self):
         cfg = ExperimentConfig(scenario="fd_mpm", random_theta=True,
                                sweep="snapshots", grid=(8,), snr_db=(10.0,),
@@ -540,6 +564,28 @@ class TestCli:
         assert rc == 2
         assert "configuration error:" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("args", [
+        ["--scenario", "fd_mpm", "--m", "8", "--xi", "0"],
+        ["--scenario", "fd_mpm", "--m", "8", "--xi", "-3"],
+        ["--scenario", "fd_mpm", "--m", "8", "--xi", "100"],
+        ["--scenario", "spc_mpm", "--m", "16", "--l", "4", "--xi", "9"],
+    ], ids=["zero", "negative", "large", "spc"])
+    def test_xi_outside_pencil_range_exits_2(self, args, capsys):
+        # before, each printed an RMSE of -1 with every trial failed, and exited 0
+        rc = cli_main(["run"] + args + ["--trials", "3"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "configuration error: xi:" in captured.err
+        assert captured.out == ""
+
+    def test_default_xi_with_too_many_sources_keeps_sentinel_row(self, capsys):
+        rc = cli_main(["run", "--scenario", "fd_mpm", "--m", "4",
+                       "--angles-deg", "1,20,40", "--trials", "3"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert captured.out.splitlines()[1].split(",")[2:6] == [
+            "-1.00000000", "0.348565409", "3", "3"]
 
     @pytest.mark.parametrize("power", ["nan", "inf"])
     def test_non_finite_power_exits_2(self, power, capsys):

@@ -2,23 +2,37 @@
 
 ``reference_kernels`` holds those kernels verbatim: a SeedSequence built
 from the list [seed, *labels], one real and one imaginary draw per signal
-segment, and one stage-2 resolve per trial. The package's word-array
-generator must reach the same PCG64 state, its one-draw signal blocks must
-equal the per-segment draws, and a stacked stage 2 must give each trial's
-bits and warnings as a per-trial resolve does, at any stack size.
+segment, one noise block and one receive sum per segment, and one stage-2
+resolve per trial. The package's word-array generator must reach the same
+PCG64 state, and so must the vectorized seeding against it; its one-draw
+signal blocks must equal the per-segment draws, a trial's receive block
+must equal the per-segment blocks bit for bit, and a stacked stage 2 must
+give each trial's bits and warnings as a per-trial resolve does, at any
+stack size.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
 from pencil_doa import ArrayConfig, HadConfig, PencilConfig, SourceSet, build_pc_codebook
-from pencil_doa.arrays import RngSpec, generate_signals
+from pencil_doa import harness
+from pencil_doa.arrays import (
+    RngSpec,
+    child_words,
+    generate_signals,
+    seed_states,
+    state_generator,
+    steering_matrix,
+)
 from pencil_doa.estimators import disambiguation_combiners, spc_resolve
+from pencil_doa.harness import ExperimentConfig, _receiver, _SweepPoint
 
 SEEDS = st.one_of(
     st.just(0),
@@ -47,6 +61,121 @@ class TestWordSeedingMatchesCrumbList:
         npt.assert_array_equal(got.standard_normal(5), want.standard_normal(5))
 
 
+def assert_same_stream(got, want):
+    assert got.bit_generator.state == want.bit_generator.state
+    npt.assert_array_equal(got.standard_normal(5), want.standard_normal(5))
+
+
+class TestVectorizedSeedingMatchesGenerator:
+    """``seed_states`` rows seed the streams that ``RngSpec.generator`` seeds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=SEEDS, labels=st.lists(LABELS, max_size=6))
+    def test_one_spec(self, seed, labels):
+        # 1 to 8 words: below the pool of four, the pool is zero-padded
+        spec = RngSpec(seed, tuple(labels))
+        assert 1 <= spec.words().size <= 8
+        assert_same_stream(state_generator(seed_states(spec.words())), spec.generator())
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, head=st.lists(LABELS, max_size=3),
+           indices=st.lists(st.integers(0, 2**40), min_size=1, max_size=5),
+           width=st.integers(0, 2), data=st.data())
+    def test_child_rows_at_once(self, seed, head, indices, width, data):
+        labels = data.draw(st.lists(st.tuples(*[LABELS] * width), min_size=1, max_size=4))
+        spec = RngSpec(seed, tuple(head))
+        states = seed_states(child_words(spec, indices, labels))
+        assert states.shape == (len(indices), len(labels), 4)
+        for i, row in zip(indices, states):
+            for label, state in zip(labels, row):
+                assert_same_stream(state_generator(state),
+                                   spec.child(i, *label).generator())
+
+    def test_rows_that_are_not_contiguous(self):
+        specs = [RngSpec(7, (i, "noise")) for i in range(3)]
+        states = np.asfortranarray(seed_states(np.stack([s.words() for s in specs])))
+        for spec, state in zip(specs, states):
+            assert_same_stream(state_generator(state), spec.generator())
+
+    @pytest.mark.parametrize("n_words,dtype", [(8, np.uint32), (4, np.uint32),
+                                               (2, np.uint64), (8, np.uint64)])
+    def test_seed_state_gives_only_pcg64_words(self, n_words, dtype):
+        words = RngSpec(5, ("signal",)).words()
+        state = state_generator(seed_states(words)).bit_generator.seed_seq
+        assert isinstance(state, np.random.bit_generator.ISeedSequence)
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            state.generate_state(n_words, dtype)
+        npt.assert_array_equal(state.generate_state(4, np.uint64),
+                               np.random.SeedSequence(words).generate_state(4, np.uint64))
+
+
+@st.composite
+def receive_cases(draw):
+    m, k = draw(st.integers(2, 16)), draw(st.integers(1, 12))
+    r, segments = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    powers = draw(st.lists(st.floats(1e-3, 1e3), min_size=r, max_size=r))
+    sources = SourceSet(tuple(np.linspace(-50.0, 40.0, r)), tuple(powers))
+    return (m, k, sources, segments, draw(st.booleans()), draw(st.booleans()),
+            draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 300)))
+
+
+class TestReceiveBlockMatchesPerSegment:
+    """One receive block per trial gives the per-segment blocks bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(receive_cases())
+    def test_block_bits(self, case):
+        m, k, sources, segments, periodic, noiseless, seed, trial = case
+        steer = steering_matrix(ArrayConfig(m), sources)
+        spec = RngSpec(seed, (3,))
+        noise_labels = [("noise", i) for i in range(segments)]
+        signal = state_generator(seed_states(child_words(spec, [trial], [("signal",)]))[0, 0])
+        noise = None if noiseless else [
+            state_generator(state)
+            for state in seed_states(child_words(spec, [trial], noise_labels))[0]]
+        block = np.empty((segments, m, k), dtype=complex)
+        harness._receive(block, steer, sources, signal, noise, periodic)
+        point = SimpleNamespace(noiseless=noiseless, cfg=SimpleNamespace(m=m))
+        want = ref.per_segment_receive(point, steer, sources, k, spec.child(trial, "signal"),
+                                       [spec.child(trial, *label) for label in noise_labels],
+                                       periodic)
+        npt.assert_array_equal(block.view(np.uint64), np.stack(want).view(np.uint64))
+
+
+class TestSweepPointStreams:
+    """A sweep point's streams are the specs' generators, in any call order."""
+
+    @pytest.mark.parametrize("changes", [
+        {"scenario": "fd_mpm"},
+        {"scenario": "pmpm_fc", "random_theta": True, "sweep": "snapshots",
+         "grid": (64,)},
+        {"scenario": "spc_mpm"},
+    ])
+    def test_chunks_of_trials(self, changes, monkeypatch):
+        cfg = ExperimentConfig(**{"m": 16, "l": 4, "angles_deg": (10.0,),
+                                  "snr_db": (10.0,), "snapshots": 64, "trials": 7,
+                                  "seed": 2**40 + 3, **changes})
+        point = _SweepPoint(cfg, _receiver(cfg), cfg.grid[0])
+        # three trials' streams per chunk
+        monkeypatch.setattr(harness, "STACK_BYTES", 3 * 32 * len(point.labels))
+        for sweep, trial in [(0, 5), (0, 0), (0, 6), (4, 1), (0, 6), (0, 3), (4, 0)]:
+            for label in point.labels:
+                assert_same_stream(point._stream(sweep, trial, *label),
+                                   RngSpec(cfg.seed).child(sweep, trial, *label).generator())
+            first, end = point.seeded[1:]
+            assert end - first == (1 if trial == 6 else 3) and first == trial - trial % 3
+
+    def test_only_drawable_streams_are_seeded(self):
+        cfg = ExperimentConfig(scenario="spc_mpm", m=16, l=4, angles_deg=(10.0,),
+                               snr_db=None, powers=None, sweep="snr", trials=2)
+        noiseless = _SweepPoint(cfg, _receiver(cfg), float("inf"))
+        assert noiseless.labels == [("signal",), ("signal2",)]
+        cfg = ExperimentConfig(scenario="pmpm_fc", m=16, l=4, random_theta=True,
+                               sweep="snapshots", grid=(64,), snr_db=(10.0,))
+        point = _SweepPoint(cfg, _receiver(cfg), 64)
+        assert point.labels == [("theta",), ("signal",)] + [("noise", i) for i in range(4)]
+
+
 class TestSignalBlockMatchesPerSegmentDraws:
     @settings(max_examples=60, deadline=None)
     @given(r=st.integers(1, 3), k=st.integers(1, 40), segments=st.integers(1, 9),
@@ -58,6 +187,9 @@ class TestSignalBlockMatchesPerSegmentDraws:
         got = generate_signals(sources, k, segments, periodic, rng)
         want = ref.per_segment_generate_signals(sources, k, segments, periodic, rng)
         assert len(got) == len(want) == segments
+        if segments == 1:  # one segment: the periodic and one-draw forms agree
+            npt.assert_array_equal(
+                generate_signals(sources, k, 1, not periodic, rng), want[0][None])
         for g, w in zip(got, want):
             assert g.shape == w.shape == (r, k)
             npt.assert_array_equal(g, w)
