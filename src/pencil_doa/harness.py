@@ -28,6 +28,7 @@ from .arrays import (
     generate_noise,
     generate_signals,
     paired_squared_errors,
+    phase_from_angle,
     receive_fd,
     seed_states,
     state_generator,
@@ -149,6 +150,35 @@ class ExperimentConfig:
             raise ConfigError("random_theta: bounds need fixed source angles")
         if self.random_theta and not 0.0 <= self.edge_offset_deg < 90.0:
             raise ConfigError("edge_offset_deg: must lie in [0, 90)")
+        # random draws keep sources at least 1 deg apart inside the edges
+        if self.random_theta and \
+                _source_count(self) - 1 >= 180.0 - 2.0 * self.edge_offset_deg:
+            raise ConfigError(
+                f"edge_offset_deg: {_source_count(self)} sources 1 deg apart do not "
+                f"fit between -90 and 90 deg less an edge offset of "
+                f"{self.edge_offset_deg} deg")
+        if not self.random_theta:
+            self._check_steerable()
+
+    def _check_steerable(self):
+        """ConfigError naming its field unless every sweep point can steer its sources.
+
+        An angle must lie strictly inside (-90, 90) deg, with an inter-element
+        phase below pi, which rounding can break just short of 90 deg.
+        """
+        for value in self.grid if self.sweep in ("theta", "separation") else (None,):
+            angles = np.array(_point_angles(self, value), dtype=float)
+            steerable = (np.abs(angles) < 90.0) & (
+                np.abs(phase_from_angle(angles, self.spacing_ratio)) < np.pi)
+            if not np.all(steerable):
+                index = int(np.argmin(steerable))
+                # a sweep's grid sets the last source of its points
+                field = "grid" if value is not None and index == len(angles) - 1 \
+                    else "angles_deg"
+                raise ConfigError(
+                    f"{field}: source angle {float(angles[index])!r} deg must lie "
+                    f"strictly inside (-90, 90) with an inter-element phase below pi "
+                    f"at spacing_ratio {self.spacing_ratio}")
 
 
 @dataclass(frozen=True)
@@ -191,6 +221,15 @@ def _receive(block: np.ndarray, steer, sources: SourceSet, signal, noise,
     receive_fd(steer, signals, block, out=block)
 
 
+def _point_angles(cfg: ExperimentConfig, value) -> tuple:
+    """The fixed source angles of the sweep point at ``value``."""
+    if cfg.sweep == "theta":
+        return (float(value),)
+    if cfg.sweep == "separation":
+        return (cfg.angles_deg[0], cfg.angles_deg[0] - float(value))
+    return cfg.angles_deg
+
+
 def _source_count(cfg: ExperimentConfig) -> int:
     return 2 if cfg.sweep == "separation" else max(1, len(cfg.angles_deg))
 
@@ -215,13 +254,8 @@ class _SweepPoint:
         self.cfg = cfg
         self.array, self.codebook, self.pencil = receiver
         r = self.pencil.num_sources
-        if cfg.sweep == "theta":
-            angles = (float(value),)
-        elif cfg.sweep == "separation":
-            angles = (cfg.angles_deg[0], cfg.angles_deg[0] - float(value))
-        else:
-            angles = cfg.angles_deg
-        self.angles = None if cfg.random_theta else angles  # None: drawn per trial
+        # None: drawn per trial
+        self.angles = None if cfg.random_theta else _point_angles(cfg, value)
         self.fixed = None  # (sources, steering) at fixed angles, from the first trial
 
         snrs = (float(value),) if cfg.sweep == "snr" else cfg.snr_db

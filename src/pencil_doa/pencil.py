@@ -2,8 +2,9 @@
 
 Shared by all estimation pipelines. ``augment`` views the K snapshots of a
 (C, K) block as K side-by-side Hankel blocks, the augmented matrix H.
-``svd_denoise`` finds its signal subspace U_R from a thin QR of H^H and the
-SVD of the small triangular factor, and returns the coordinates P = U_R^H H.
+``svd_denoise`` finds its signal subspace U_R from the SVD of the small
+triangular factor of H^H, taken as the conjugated R factor of the QR of the
+transpose view H^T, and returns the coordinates P = U_R^H H.
 As pinv(U_R P_L) U_R P_R = pinv(P_L) P_R, the column-deleted pair of P has the
 eigenvalues of the rank-R denoised pair: Hua & Sarkar's matrix pencil (IEEE
 TASSP 1990) in the subspace form of ESPRIT (Roy & Kailath, IEEE TASSP 1989),
@@ -41,8 +42,9 @@ from .errors import (
 # Relative singular-value cutoff for pseudo-inverses and rank decisions.
 PINV_RCOND = 1e-10
 
-# Bytes of Hankel matrices one batched solve may hold, or of SPC stage-2 blocks
-# one batched resolve may hold; larger inputs run alone.
+# Bytes of Hankel matrices H in one batched solve, or of SPC stage-2 blocks in
+# one batched resolve; larger inputs run alone. A solve holds H and numpy's
+# QR copy of it, so about twice this at its peak.
 STACK_BYTES = 1 << 20
 
 
@@ -84,7 +86,11 @@ def compress(snapshots) -> np.ndarray:
 
 
 def stack_size(snapshots: int, channels: int, xi: int) -> int:
-    """Pencils of K snapshots per batched solve: STACK_BYTES of H, at least one."""
+    """Pencils of K snapshots per batched solve: STACK_BYTES of H, at least one.
+
+    The solve's peak is about twice the stack's H, which ``np.linalg.qr``
+    copies once.
+    """
     h_bytes = (channels - xi) * min(snapshots, channels) * (xi + 1) * 16
     return max(1, STACK_BYTES // h_bytes) if h_bytes > 0 else 1
 
@@ -119,8 +125,10 @@ def svd_denoise(aug: np.ndarray, num_sources: int):
         raise PencilParamError(
             f"rank {r} exceeds matrix dimensions {aug.shape[-2:]}")
     try:
+        # the R factor of H^T, conjugated, is that of H^H (up to the sign of
+        # zero) with no full-size conjugate copy of H
         _, s, vh = np.linalg.svd(
-            np.linalg.qr(aug.conj().swapaxes(-1, -2), mode="r"),
+            np.linalg.qr(aug.swapaxes(-1, -2), mode="r").conj(),
             full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("SVD failed to converge") from exc

@@ -74,6 +74,11 @@ object with ``noiseless`` and ``cfg.m``. The only edits are the new names
 and ``per_segment_receive`` calling ``per_segment_generate_signals`` and
 the two other functions here.
 
+``conjugate_copy_svd_denoise`` is the stacked ``svd_denoise`` as it stood
+before R came from the QR of the transpose view of H, conjugated. It is
+copied verbatim under a new name: it takes the thin QR of H^H, a full-size
+conjugate copy of H. The only edit is the name.
+
 Do not edit them to follow the package. ``dense`` is the one helper written
 for the tests: it expands the package's block-structured combiner columns
 into the dense matrices these kernels take.
@@ -1058,3 +1063,28 @@ def per_segment_receive(self, steer, sources: SourceSet, k: int, signal_rng,
             noise = per_segment_generate_noise(self.cfg.m, k, noise_rng)
         blocks.append(per_segment_receive_fd(steer, sig, noise))
     return blocks
+
+
+def conjugate_copy_svd_denoise(aug: np.ndarray, num_sources: int):
+    """Signal subspace of the augmented matrix H as (basis, coords, gap).
+
+    basis is U_R, the R leading left singular vectors of H; coords is U_R^H H,
+    so basis @ coords is the best rank-R approximation of H; gap is
+    sigma_R / sigma_{R+1} (inf when there is no discarded value), one per
+    matrix of a stack.
+    """
+    r = num_sources
+    if r > min(aug.shape[-2:]):
+        raise PencilParamError(
+            f"rank {r} exceeds matrix dimensions {aug.shape[-2:]}")
+    try:
+        _, s, vh = np.linalg.svd(
+            np.linalg.qr(aug.conj().swapaxes(-1, -2), mode="r"),
+            full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("SVD failed to converge") from exc
+    gap = np.full(s.shape[:-1], np.inf)
+    if s.shape[-1] > r:
+        np.divide(s[..., r - 1], s[..., r], out=gap, where=s[..., r] > 0.0)
+    vh = vh[..., :r, :]
+    return vh.conj().swapaxes(-1, -2), vh @ aug, gap[()]

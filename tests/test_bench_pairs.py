@@ -1,6 +1,7 @@
 """tools/bench_pairs.py against fake checkouts whose run.py prints a fixed result."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -79,6 +80,30 @@ class TestRuns:
         assert rc == 0
         assert "| `w` | 0, 2 | 100.0 [100.0, 100.0] -> 150.0 [150.0, 150.0], 2/2 |" in out
         assert "failed trials: parent 0, change 0" in out
+
+    def test_runs_compile_src_from_source(self, tmp_path, monkeypatch):
+        parent = checkout(tmp_path, "parent", result(100.0, 40.0))
+        stale = parent / "src" / "pkg" / "__pycache__"
+        stale.mkdir(parents=True)
+        (stale / "mod.cpython-311.pyc").write_bytes(b"stale")
+        (parent / "src" / "pkg" / "mod.py").write_text("")
+        monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "old-cache"))
+        seen = {}
+
+        def fake_run(command, cwd, env, **_):
+            seen.update(cwd=Path(cwd), env=env,
+                        files=sorted(p.relative_to(cwd).as_posix()
+                                     for p in Path(cwd).rglob("*")))
+            return subprocess.CompletedProcess(
+                command, 0, stdout=json.dumps(result(100.0, 40.0)), stderr="")
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+        bench_pairs.run_once(parent, "w", 0, 1.0)
+        assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert "PYTHONPYCACHEPREFIX" not in seen["env"]
+        assert seen["cwd"] != parent and not seen["cwd"].exists()
+        assert seen["files"] == ["perfbench", "perfbench/run.py", "src", "src/pkg",
+                                 "src/pkg/mod.py"]
 
     def test_incorrect_run_exits_1(self, tmp_path, capsys):
         parent = checkout(tmp_path, "parent", result(100.0, 40.0))

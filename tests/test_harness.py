@@ -130,6 +130,51 @@ class TestConfigValidation:
     def test_xi_inside_pencil_range_or_unused_accepted(self, changes):
         ExperimentConfig(**{"scenario": "fd_mpm", "m": 8, **changes}).validate()
 
+    @pytest.mark.parametrize("changes,field", [
+        ({"angles_deg": (10.0, 90.0)}, "angles_deg"),
+        ({"angles_deg": (-90.0,), "sweep": "snapshots", "grid": (8,)}, "angles_deg"),
+        ({"angles_deg": (89.9999999999,)}, "angles_deg"),  # sin rounds to 1
+        ({"angles_deg": (math.nan,)}, "angles_deg"),
+        ({"sweep": "theta", "grid": (0.0, 30.0, 90.0)}, "grid"),
+        ({"sweep": "theta", "grid": (89.9999999999,)}, "grid"),
+        ({"sweep": "separation", "angles_deg": (-88.0,), "grid": (0.5, 1.0, 3.0)},
+         "grid"),
+        ({"sweep": "separation", "angles_deg": (95.0,), "grid": (1.0,)},
+         "angles_deg"),
+        ({"scenario": "crlb_fd", "angles_deg": (89.9999999999,)}, "angles_deg"),
+    ], ids=["snr", "snapshots", "phase-rounds-to-pi", "nan", "theta-grid",
+            "theta-phase", "separation-second", "separation-first", "bound"])
+    def test_unsteerable_fixed_angle_rejected(self, changes, field):
+        cfg = ExperimentConfig(**{"scenario": "fd_mpm", "m": 8, **changes})
+        with pytest.raises(ConfigError, match=f"^{field}: source angle"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("changes", [
+        {"angles_deg": (-89.9, 89.9)},
+        {"sweep": "theta", "grid": (-89.99999, 89.99999)},
+        {"sweep": "separation", "angles_deg": (-88.0,), "grid": (1.9,)},
+        {"spacing_ratio": 0.25, "angles_deg": (89.9999999999,)},
+        # random angles are drawn; the listed ones only count the sources
+        {"random_theta": True, "angles_deg": (0.0, 95.0), "sweep": "snapshots",
+         "grid": (8,)},
+    ], ids=["snr", "theta", "separation", "narrow-spacing", "random"])
+    def test_steerable_angles_accepted(self, changes):
+        ExperimentConfig(**{"scenario": "fd_mpm", "m": 8, **changes}).validate()
+
+    @pytest.mark.parametrize("sources,offset,ok", [
+        (3, 89.5, False), (2, 89.5, False), (1, 89.9, True), (2, 89.4, True),
+        (181, 0.0, False), (180, 0.0, True)])
+    def test_random_sources_must_fit_inside_the_edges(self, sources, offset, ok):
+        # R sources at least 1 deg apart need (R-1) deg of the 180 - 2*offset
+        cfg = ExperimentConfig(scenario="fd_mpm", random_theta=True,
+                               angles_deg=tuple(range(sources)), sweep="snapshots",
+                               grid=(8,), edge_offset_deg=offset)
+        if ok:
+            cfg.validate()
+        else:
+            with pytest.raises(ConfigError, match="edge_offset_deg: "):
+                cfg.validate()
+
     def test_edge_offset_past_broadside_rejected(self):
         cfg = ExperimentConfig(scenario="fd_mpm", random_theta=True,
                                sweep="snapshots", grid=(8,), snr_db=(10.0,),
@@ -560,6 +605,31 @@ class TestCli:
     ], ids=["run", "crlb", "separation"])
     def test_duplicate_source_angles_exit_2(self, args, capsys):
         rc = cli_main(args + ["--trials", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "configuration error:" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("args", [
+        ["--scenario", "fd_mpm", "--m", "8", "--sweep", "theta",
+         "--grid", "89.9999999999"],
+        ["--scenario", "crlb_fd", "--m", "8", "--angles-deg", "89.9999999999"],
+        ["--scenario", "fd_mpm", "--m", "16", "--sweep", "theta", "--grid", "0,30,90"],
+        ["--scenario", "fd_mpm", "--m", "16", "--sweep", "separation",
+         "--angles-deg", "-88", "--grid", "0.5,1,3"],
+        ["--scenario", "fd_mpm", "--random-theta", "true", "--angles-deg", "0,1,2",
+         "--edge-offset-deg", "89.5", "--sweep", "snapshots", "--grid", "8,16"],
+    ], ids=["theta-phase-traceback", "bound-phase-traceback", "theta-last-point",
+            "separation-last-point", "random-sources-past-edges"])
+    def test_unsteerable_sources_exit_2_before_any_point(self, args, capsys,
+                                                         monkeypatch):
+        # before, the first two ended in an UnsupportedGeometry traceback, and
+        # the others ran points and then exited 2, discarding them
+        def no_point(*_):
+            raise AssertionError("a sweep point was built")
+
+        monkeypatch.setattr(harness, "_SweepPoint", no_point)
+        rc = cli_main(["run"] + args + ["--trials", "2"])
         captured = capsys.readouterr()
         assert rc == 2
         assert "configuration error:" in captured.err

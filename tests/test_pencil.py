@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -141,6 +142,21 @@ class TestSvdDenoise:
         basis, coords, _ = svd_denoise(aug, 2)
         npt.assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
         npt.assert_allclose(coords, basis.conj().T @ aug, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(7, 16, 544), (64, 520)])
+    def test_holds_no_more_than_one_copy_of_h(self, shape):
+        # np.linalg.qr copies its input once; a conjugate copy of H would add
+        # a second full-size copy on top
+        gen = np.random.default_rng(0)
+        h = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        svd_denoise(h, 2)  # numpy's first-call allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            svd_denoise(h, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * h.nbytes
 
 
 class TestSplitPencil:

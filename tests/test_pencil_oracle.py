@@ -6,7 +6,9 @@ package must give the same angles, and raise where it raised. It also holds
 the single-block subspace chain that snapshot compression and stacking
 replaced: with K <= C snapshots the package must give its bits, and with
 K > C its angles within the same tolerance. A stack of pencils must give
-each pencil's bits alone. Over the same geometries, the estimators must also
+each pencil's bits alone. The subspace step that takes R from the QR of the
+transpose view of H must give the values of the one that took it from a
+full-size conjugate copy. Over the same geometries, the estimators must also
 keep the invariances of the model: reordering the snapshots or rotating each
 by a common phase leaves the angles unchanged, and conjugating the data
 mirrors them.
@@ -256,3 +258,70 @@ class TestBatchedSolve:
         assert got[3] is None and got[5] is None
         for t in (0, 1, 2, 4, 6):
             npt.assert_array_equal(got[t], single[t])
+
+
+@st.composite
+def hankel_stacks(draw):
+    """(H, R): a (T, d, K'(xi+1)) stack of augmented matrices, or one matrix.
+
+    Any scale from 1e-8 to 1e8; with a rank, each snapshot is a sum of that
+    many exponentials, so H has at most that rank.
+    """
+    d = draw(st.integers(2, 64))
+    xi = draw(st.integers(1, 16))
+    k = draw(st.integers(1, 40))
+    stack = draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+    rank = draw(st.one_of(st.none(), st.integers(1, 3)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = d + xi
+    x = gen.standard_normal((stack, k, c)) + 1j * gen.standard_normal((stack, k, c))
+    if rank is not None:
+        phases = gen.uniform(-np.pi, np.pi, (stack, rank, 1))
+        x = x[..., :rank] @ np.exp(1j * phases * np.arange(c))
+    h = augment(scale * x, xi)
+    if stack == 1 and draw(st.booleans()):
+        h = h[0]
+    return h, draw(st.integers(1, min(h.shape[-2:])))
+
+
+def signless_zero_bits(a):
+    """The bits of a complex array, with -0.0 made +0.0."""
+    return np.ascontiguousarray(a + 0.0).view(np.uint64)
+
+
+class TestTransposeQrMatchesConjugateCopy:
+    """R from the QR of H^T, conjugated, gives the kernel's values on H^H."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(hankel_stacks())
+    def test_same_subspace_as_conjugate_copy(self, case):
+        h, r = case
+        for got, want in zip(svd_denoise(h, r), ref.conjugate_copy_svd_denoise(h, r)):
+            npt.assert_array_equal(got, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(hankel_stacks())
+    def test_qr_commutes_with_conjugation(self, case):
+        # bit for bit, up to the sign of zero: conjugating the real diagonal and
+        # the zero lower triangle makes their imaginary parts -0.0
+        h, _ = case
+        got = np.linalg.qr(h.swapaxes(-1, -2), mode="r").conj()
+        want = np.linalg.qr(h.conj().swapaxes(-1, -2), mode="r")
+        npt.assert_array_equal(signless_zero_bits(got), signless_zero_bits(want))
+
+    @pytest.mark.parametrize("shape", [(16, 34), (3, 8, 20)])
+    @pytest.mark.parametrize("kind", ["all_zero", "nan"])
+    def test_failures_raise_alike(self, kind, shape):
+        gen = np.random.default_rng(len(shape))
+        h = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        if kind == "all_zero":
+            h = np.zeros_like(h)
+        else:
+            h[..., 3, 5] = np.nan
+        want = raised(ref.conjugate_copy_svd_denoise, h, 2)
+        assert raised(svd_denoise, h, 2) is want
+        if want is None:
+            for got, want in zip(svd_denoise(h, 2),
+                                 ref.conjugate_copy_svd_denoise(h, 2)):
+                npt.assert_array_equal(got, want)

@@ -4,15 +4,18 @@
         [--seed 0] [--seconds 30] [--pairs 10]
 
 PARENT and CHANGE are two checkouts of this repository. Each pair runs
-``perfbench/run.py --trace 0`` once in each, in its own directory, at the
-same workload, seed and seconds; the order inside a pair alternates, so the
-host's drift weighs on both sides alike. When all pairs are done, it prints
-one Markdown table row per run set: for each end-to-end metric of
-BENCHMARK.json, the parent's median [first quartile, third quartile], the
-change's, and how many pairs the change won. A pair is won when the change
-is better in the direction BENCHMARK.json gives. Below the table, a line per
-metric gives the change in the median and compares the gap between medians
-with the parent's interquartile range.
+``perfbench/run.py --trace 0`` once in each, at the same workload, seed and
+seconds; the order inside a pair alternates, so the host's drift weighs on
+both sides alike. Every run works in a fresh copy of its checkout that holds
+no ``__pycache__``, with ``PYTHONDONTWRITEBYTECODE=1``, so each process of
+both sides compiles ``src/`` from source, as in a new checkout, while
+installed packages such as numpy keep their bytecode. When all pairs are
+done, it prints one Markdown table row per run set: for each end-to-end
+metric of BENCHMARK.json, the parent's median [first quartile, third
+quartile], the change's, and how many pairs the change won. A pair is won
+when the change is better in the direction BENCHMARK.json gives. Below the
+table, a line per metric gives the change in the median and compares the gap
+between medians with the parent's interquartile range.
 
 Exit status: 0 when every run reported ``"correct": true``, 1 as soon as one
 reports ``"correct": false``, 2 when a run fails in another way. Uses only
@@ -23,12 +26,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Left out of each run's copy of a checkout: bytecode, history and old output.
+NOT_COPIED = ("__pycache__", ".git", ".hypothesis", ".pytest_cache", "out")
 
 
 class RunError(Exception):
@@ -43,8 +52,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The JSON result, the last line that ``perfbench/run.py`` prints."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True,
-                          timeout=seconds + 600)
+    # an empty PYTHONPYCACHEPREFIX would also recompile numpy and the standard
+    # library in every process: +0.3 s setup_s and +2.5 MB peak_rss_mb on
+    # pmpm_fc_budget (2-vCPU VM)
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONPYCACHEPREFIX"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        copy = Path(scratch) / "checkout"
+        shutil.copytree(checkout, copy, ignore=shutil.ignore_patterns(*NOT_COPIED))
+        done = subprocess.run(command, cwd=copy, env=env, capture_output=True,
+                              text=True, timeout=seconds + 600)
     lines = done.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
