@@ -52,8 +52,8 @@ class RngSpec:
     def words(self) -> np.ndarray:
         """The uint32 entropy words: the 64-bit seed, low word first, then one per label.
 
-        These are the words numpy's SeedSequence makes of the list [seed,
-        *labels]: one for a seed below 2**32 (0 included), else two.
+        For a seed in [0, 2**64) these are the words numpy's SeedSequence makes
+        of the list [seed, *labels]: one below 2**32 (0 included), else two.
         """
         seed = self.seed & 0xFFFFFFFFFFFFFFFF
         words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])

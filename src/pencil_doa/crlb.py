@@ -37,7 +37,7 @@ def _invert_fim(core: np.ndarray, prefactor: float) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularFim("Fisher information core is singular") from exc
     crlb = 0.5 * (crlb + crlb.T)
-    if np.any(np.linalg.eigvalsh(crlb) <= 0.0):
+    if not np.all(np.linalg.eigvalsh(crlb) > 0.0):  # nan included
         raise SingularFim("bound matrix is not positive definite")
     return crlb
 
@@ -69,11 +69,15 @@ def _combined_bound(array: ArrayConfig, sources: SourceSet, snapshots: int,
     e = apply_combiner(columns, a)  # (N, L, R)
     g = apply_combiner(columns, f)
     e_h = e.conj().swapaxes(-1, -2)
-    upsilon = e @ phi @ e_h + (m / l) * np.eye(l)
-    left = g.conj().swapaxes(-1, -2) @ _perp_projector(e) @ g
-    right = phi @ e_h @ np.linalg.solve(upsilon, e) @ phi
-    core = np.real(left * right.swapaxes(-1, -2)).sum(axis=0)  # in combiner order
-    return _invert_fim(core, m / (2.0 * snapshots * l))
+    # with powers far above the noise, rounding can leave Upsilon or the core singular
+    try:
+        upsilon = e @ phi @ e_h + (m / l) * np.eye(l)
+        left = g.conj().swapaxes(-1, -2) @ _perp_projector(e) @ g
+        right = phi @ e_h @ np.linalg.solve(upsilon, e) @ phi
+        core = np.real(left * right.swapaxes(-1, -2)).sum(axis=0)  # in combiner order
+        return _invert_fim(core, m / (2.0 * snapshots * l))
+    except np.linalg.LinAlgError as exc:
+        raise SingularFim(f"bound kernel failed: {exc}") from exc
 
 
 def crlb_fd(array: ArrayConfig, sources: SourceSet, snapshots: int) -> np.ndarray:

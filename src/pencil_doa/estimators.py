@@ -84,20 +84,38 @@ def pmpm_aggregate(q_blocks, codebook: np.ndarray) -> SnapshotBlock:
     return terms.sum(axis=0)  # in combiner order
 
 
+def pencil_input(segments, codebook: np.ndarray | None = None,
+                 single_phase: bool = False) -> np.ndarray:
+    """The (K', C) pencil input of an (N, M, K) block of N segments.
+
+    With no codebook, the N K raw snapshots. With a codebook, segment n
+    passes combiner n: the PMPM aggregate gives K full-array snapshots, and
+    under ``single_phase`` the (N, L, 1, m_rf) codebook's chain outputs give
+    N K snapshots of the L-element virtual array dilated by m_rf.
+    """
+    x = np.asarray(segments)
+    if codebook is not None:
+        codebook = np.asarray(codebook)
+        if single_phase and (codebook.ndim != 4 or codebook.shape[2] != 1):
+            raise ConfigError(f"single-phase estimation needs (N, L, 1, m_rf) "
+                              f"partially-connected columns, got {codebook.shape}")
+        if len(x) != len(codebook):
+            raise ShapeError(f"{len(x)} segments for a codebook of {len(codebook)}")
+        x = apply_combiner(codebook, x)  # (N, L, K)
+        if not single_phase:
+            return pmpm_aggregate(x, codebook).T
+    return x.swapaxes(-1, -2).reshape(-1, x.shape[-2])
+
+
 def estimate_pmpm(segments, codebook: np.ndarray, cfg: PencilConfig,
                   array: ArrayConfig) -> np.ndarray:
     """DoAs from per-segment antenna blocks under a periodic source signal.
 
-    Applies combiner n to segment n, aggregates, and runs the full-array
-    pencil on the virtual block. The caller guarantees the signal repeats
-    across the segments; the signal itself is never needed.
+    Runs the full-array pencil on the PMPM aggregate of ``pencil_input``.
+    The caller guarantees the signal repeats across the segments; the
+    signal itself is never needed.
     """
-    segments = np.asarray(segments)
-    if len(segments) != len(codebook):
-        raise ShapeError(
-            f"{len(segments)} segments for a codebook of {len(codebook)}")
-    y = pmpm_aggregate(apply_combiner(codebook, segments), codebook)
-    return estimate_fd_mpm(y, cfg, array)
+    return estimate_fd_mpm(pencil_input(segments, codebook).T, cfg, array)
 
 
 def ambiguity_set(base_angles_deg, m_rf: int, spacing_ratio: float) -> np.ndarray:
@@ -177,20 +195,6 @@ def resolve_ambiguity(columns: np.ndarray, segments, candidates: np.ndarray,
                        for sine in sines], mu_hat.shape)
 
 
-def spc_snapshots(segments, codebook: np.ndarray) -> np.ndarray:
-    """The (N K, L) stage-1 pencil input: combiner n's outputs for segment n."""
-    codebook = np.asarray(codebook)
-    if codebook.ndim != 4 or codebook.shape[2] != 1:
-        raise ConfigError(f"single-phase estimation needs (N, L, 1, m_rf) "
-                          f"partially-connected columns, got {codebook.shape}")
-    segments = np.asarray(segments)
-    if len(segments) != len(codebook):
-        raise ShapeError(
-            f"{len(segments)} segments for a codebook of {len(codebook)}")
-    stage1 = apply_combiner(codebook, segments)  # (N, L, K)
-    return stage1.swapaxes(1, 2).reshape(-1, codebook.shape[1])
-
-
 def spc_resolve(base_angles, disambiguation_block: SnapshotBlock,
                 cfg: PencilConfig, array: ArrayConfig,
                 codebook: np.ndarray) -> np.ndarray:
@@ -233,7 +237,7 @@ def estimate_spc_mpm(segments, disambiguation_block: SnapshotBlock,
     steering vector and raise AmbiguousGeometryError.
     """
     codebook = np.asarray(codebook)
-    stage1 = spc_snapshots(segments, codebook)
+    stage1 = pencil_input(segments, codebook, single_phase=True)
     try:
         base = pencil_angles(stage1, cfg, array.spacing_ratio,
                              dilation=codebook.shape[-1])

@@ -2,13 +2,13 @@
 
 A run sweeps one axis (snr, theta, snapshots, or separation), executes D
 seeded trials per sweep point, and reports pooled RMSE next to the matching
-root bound. Per-trial RNG streams derive from (seed, sweep index, trial
-index). A sweep point seeds the streams of a chunk of trials in one pass,
-and each trial draws its segments into one receive block. Trials are drawn
-serially in index order and reduced to their compressed pencil inputs, and
-each run of ``stack_size`` trials is solved in one batched pencil call; SPC
-stage 2 then resolves that run's solved trials in stacks of at most
-``STACK_BYTES`` of blocks.
+root bound. ``_point_sources`` derives a point's sources for ``validate``,
+before any point runs, and for the point, which builds them once at fixed
+angles. Per-trial RNG streams derive from (seed, sweep index, trial index),
+seeded a chunk of trials at a time. ``estimators.pencil_input`` reduces each
+trial's (N, M, K) receive block, as in the public estimators, and each run
+of ``stack_size`` trials is solved in one batched pencil call; SPC stage 2
+then resolves them in stacks of at most ``STACK_BYTES`` of blocks.
 """
 
 from __future__ import annotations
@@ -34,15 +34,14 @@ from .arrays import (
     state_generator,
     steering_matrix,
 )
-from .combiners import FC, PC, HadConfig, apply_combiner, build_codebook
+from .combiners import FC, PC, HadConfig, build_codebook
 from .crlb import crlb_fd, crlb_spc, pooled_root_deg
 from .errors import ConfigError, ESTIMATOR_FAILURES
 from .estimators import (
     disambiguation_combiners,
     pencil_angles,
-    pmpm_aggregate,
+    pencil_input,
     spc_resolve,
-    spc_snapshots,
 )
 from .pencil import STACK_BYTES, PencilConfig, compress, stack_size
 
@@ -103,6 +102,8 @@ class ExperimentConfig:
             raise ConfigError("spacing_ratio: must lie in (0, 0.5]")
         if self.trials < 1:
             raise ConfigError("trials: must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed: {self.seed} outside [0, 2**64)")
         if self.snapshots < 1:
             raise ConfigError("snapshots: must be positive")
         if self.sweep == "snapshots" and not all(
@@ -115,8 +116,7 @@ class ExperimentConfig:
             if self.l < 1 or self.l >= self.m or self.m % self.l:
                 raise ConfigError("l: RF chains must divide m and satisfy L < M")
         if self.xi is not None and self.scenario in ESTIMATOR_SCENARIOS:
-            r = _source_count(self)
-            c = self.l if self.scenario == "spc_mpm" else self.m
+            r, c = _source_count(self), _pencil_channels(self)
             if not r <= self.xi <= c - r:
                 raise ConfigError(f"xi: {self.xi} outside [R, C-R] = [{r}, {c - r}] "
                                   f"for R={r} sources on C={c} channels")
@@ -137,15 +137,6 @@ class ExperimentConfig:
             raise ConfigError("angles_deg: theta sweep expects a single source")
         if self.sweep in ("theta", "separation") and self.random_theta:
             raise ConfigError("random_theta: incompatible with an angle sweep")
-        # equal angles share one steering vector, and no estimator or bound
-        # can tell the sources apart
-        if self.sweep == "separation" and any(
-                self.angles_deg[0] - float(v) == self.angles_deg[0] for v in self.grid):
-            raise ConfigError("grid: a separation must move the second source "
-                              "off the first")
-        if self.sweep in ("snr", "snapshots") and not self.random_theta and \
-                len(set(map(float, self.angles_deg))) < len(self.angles_deg):
-            raise ConfigError("angles_deg: source angles must be distinct")
         if self.random_theta and self.scenario in CRLB_SCENARIOS:
             raise ConfigError("random_theta: bounds need fixed source angles")
         if self.random_theta and not 0.0 <= self.edge_offset_deg < 90.0:
@@ -157,28 +148,8 @@ class ExperimentConfig:
                 f"edge_offset_deg: {_source_count(self)} sources 1 deg apart do not "
                 f"fit between -90 and 90 deg less an edge offset of "
                 f"{self.edge_offset_deg} deg")
-        if not self.random_theta:
-            self._check_steerable()
-
-    def _check_steerable(self):
-        """ConfigError naming its field unless every sweep point can steer its sources.
-
-        An angle must lie strictly inside (-90, 90) deg, with an inter-element
-        phase below pi, which rounding can break just short of 90 deg.
-        """
-        for value in self.grid if self.sweep in ("theta", "separation") else (None,):
-            angles = np.array(_point_angles(self, value), dtype=float)
-            steerable = (np.abs(angles) < 90.0) & (
-                np.abs(phase_from_angle(angles, self.spacing_ratio)) < np.pi)
-            if not np.all(steerable):
-                index = int(np.argmin(steerable))
-                # a sweep's grid sets the last source of its points
-                field = "grid" if value is not None and index == len(angles) - 1 \
-                    else "angles_deg"
-                raise ConfigError(
-                    f"{field}: source angle {float(angles[index])!r} deg must lie "
-                    f"strictly inside (-90, 90) with an inter-element phase below pi "
-                    f"at spacing_ratio {self.spacing_ratio}")
+        for value in self.grid:
+            _point_sources(self, value)
 
 
 @dataclass(frozen=True)
@@ -200,7 +171,9 @@ def _draw_angles(gen: np.random.Generator, r: int, edge_offset: float) -> tuple:
         angles = np.sort(gen.uniform(lo, hi, size=r))
         if r == 1 or np.min(np.diff(angles)) >= 1.0:
             return tuple(angles)
-    raise ConfigError("could not draw sufficiently separated random angles")
+    # the same law, uniform over sorted sets 1 deg apart, drawn directly: R
+    # sorted uniforms on [lo, hi - (R-1)] plus 0, 1, ..., R-1 deg
+    return tuple(np.sort(gen.uniform(lo, hi - (r - 1), size=r)) + np.arange(r))
 
 
 def _receive(block: np.ndarray, steer, sources: SourceSet, signal, noise,
@@ -221,17 +194,61 @@ def _receive(block: np.ndarray, steer, sources: SourceSet, signal, noise,
     receive_fd(steer, signals, block, out=block)
 
 
-def _point_angles(cfg: ExperimentConfig, value) -> tuple:
-    """The fixed source angles of the sweep point at ``value``."""
-    if cfg.sweep == "theta":
-        return (float(value),)
-    if cfg.sweep == "separation":
-        return (cfg.angles_deg[0], cfg.angles_deg[0] - float(value))
-    return cfg.angles_deg
-
-
 def _source_count(cfg: ExperimentConfig) -> int:
     return 2 if cfg.sweep == "separation" else max(1, len(cfg.angles_deg))
+
+
+def _pencil_channels(cfg: ExperimentConfig) -> int:
+    """C, the channels of a pencil snapshot: the L chains under SPC, else the M antennas."""
+    return cfg.l if cfg.scenario in TWO_STAGE else cfg.m
+
+
+def _point_sources(cfg: ExperimentConfig, value) -> tuple:
+    """(fixed angles, or None where drawn per trial; powers; noiseless) at ``value``.
+
+    ConfigError naming its field unless the point can run: one power per
+    source, each positive and finite, and fixed angles distinct and strictly
+    inside (-90, 90) deg with an inter-element phase below pi, which rounding
+    can break just short of 90 deg.
+    """
+    r = _source_count(cfg)
+    snrs = (float(value),) if cfg.sweep == "snr" else cfg.snr_db
+    if snrs is None:
+        field, powers, noiseless = "powers", tuple(cfg.powers), False
+    else:
+        field = "grid" if cfg.sweep == "snr" else "snr_db"
+        snrs = tuple(snrs) * r if len(snrs) == 1 else tuple(snrs)
+        noiseless = math.inf in snrs
+        try:
+            powers = tuple(1.0 if noiseless else 10.0 ** (s / 10.0) for s in snrs)
+        except OverflowError:
+            powers = (math.inf,) * len(snrs)
+    if len(powers) != r:
+        raise ConfigError(f"{field}: {len(powers)} values for {r} sources")
+    if not all(0.0 < p < math.inf for p in powers):
+        raise ConfigError(f"{field}: source powers {powers} must be positive and finite")
+    if cfg.random_theta:
+        return None, powers, noiseless
+    # a sweep's grid sets the last source of its points
+    swept, angles = cfg.sweep in ("theta", "separation"), cfg.angles_deg
+    if cfg.sweep == "theta":
+        angles = (float(value),)
+    elif cfg.sweep == "separation":
+        angles = (angles[0], angles[0] - float(value))
+    # equal angles share one steering vector: no estimator or bound tells them apart
+    if len(set(map(float, angles))) < len(angles):
+        raise ConfigError(f"{'grid' if swept else 'angles_deg'}: source angles "
+                          f"{angles} must be distinct")
+    steerable = (np.abs(angles) < 90.0) & (
+        np.abs(phase_from_angle(np.array(angles, dtype=float), cfg.spacing_ratio)) < np.pi)
+    if not np.all(steerable):
+        index = int(np.argmin(steerable))
+        raise ConfigError(
+            f"{'grid' if swept and index == len(angles) - 1 else 'angles_deg'}: "
+            f"source angle {float(angles[index])!r} deg must lie strictly inside "
+            f"(-90, 90) with an inter-element phase below pi at spacing_ratio "
+            f"{cfg.spacing_ratio}")
+    return angles, powers, noiseless
 
 
 def _receiver(cfg: ExperimentConfig) -> tuple:
@@ -241,9 +258,7 @@ def _receiver(cfg: ExperimentConfig) -> tuple:
     codebook = None
     if architecture is not None:
         codebook = build_codebook(HadConfig(architecture, cfg.m, cfg.l))
-    xi = cfg.xi
-    if xi is None:
-        xi = (cfg.l if cfg.scenario in TWO_STAGE else cfg.m) // 2
+    xi = _pencil_channels(cfg) // 2 if cfg.xi is None else cfg.xi
     return array, codebook, PencilConfig(xi, _source_count(cfg))
 
 
@@ -253,37 +268,28 @@ class _SweepPoint:
     def __init__(self, cfg: ExperimentConfig, receiver: tuple, value):
         self.cfg = cfg
         self.array, self.codebook, self.pencil = receiver
-        r = self.pencil.num_sources
-        # None: drawn per trial
-        self.angles = None if cfg.random_theta else _point_angles(cfg, value)
-        self.fixed = None  # (sources, steering) at fixed angles, from the first trial
-
-        snrs = (float(value),) if cfg.sweep == "snr" else cfg.snr_db
-        if snrs is None:
-            self.powers, self.noiseless = tuple(cfg.powers), False
-        else:
-            snrs = tuple(snrs) * r if len(snrs) == 1 else tuple(snrs)
-            self.noiseless = math.inf in snrs
-            self.powers = tuple(1.0 if self.noiseless else 10.0 ** (s / 10.0)
-                                for s in snrs)
-        if len(self.powers) != r:
-            raise ConfigError(f"sources: {len(self.powers)} powers for {r} sources")
+        self.angles, self.powers, self.noiseless = _point_sources(cfg, value)
+        # (sources, steering) of every trial at fixed angles
+        self.fixed = None if self.angles is None else self._steered(self.angles)
 
         budget = int(value) if cfg.sweep == "snapshots" else cfg.snapshots
         self.drawable = cfg.m * budget <= MAX_DRAW_ENTRIES
+        self.two_stage = cfg.scenario in TWO_STAGE
         self.k2 = 0
-        if cfg.scenario in TWO_STAGE:
+        if self.two_stage:
             self.k2 = budget // cfg.split_divisor if budget >= cfg.split_divisor else 1
             budget -= self.k2
-        self.k = budget if self.codebook is None else budget // len(self.codebook)
-        self.two_stage = cfg.scenario in TWO_STAGE
-        # SPC solves its pencil on the virtual array dilated by m_rf
-        self.dilation = self.codebook.shape[-1] if self.two_stage else 1
+        # a trial draws N segments of K snapshots; SPC solves its pencil on the
+        # N K chain outputs, rows of the virtual array dilated by m_rf
+        self.segments = 1 if self.codebook is None else len(self.codebook)
+        self.k = budget // self.segments
+        self.rows, self.dilation = (self.segments * self.k, self.codebook.shape[-1]) \
+            if self.two_stage else (self.k, 1)
 
         # the labels after (sweep, trial) of every stream a trial can draw,
         # grouped by length for seeding
         self.noise = [] if self.noiseless else [("noise",)] if self.codebook is None \
-            else [("noise", i) for i in range(len(self.codebook))]
+            else [("noise", i) for i in range(self.segments)]
         labels = [("theta",)] * cfg.random_theta + [("signal",)] + self.noise
         if self.two_stage:
             labels += [("signal2",)] + [("noise2",)] * (not self.noiseless)
@@ -303,9 +309,7 @@ class _SweepPoint:
             disambiguation_combiners(self.codebook, self.pencil.num_sources)
         if self.k < 1 or scan_short or not self.drawable:
             return SENTINEL_RMSE, trials
-        k, c = (len(self.codebook) * self.k, self.cfg.l) if self.two_stage \
-            else (self.k, self.cfg.m)
-        step = stack_size(k, c, self.pencil.xi)
+        step = stack_size(self.rows, _pencil_channels(self.cfg), self.pencil.xi)
         total_sq = 0.0
         count = 0
         failures = 0
@@ -346,40 +350,30 @@ class _SweepPoint:
         row = (trial_index - first) * len(self.labels) + self.columns[label]
         return state_generator(self.states[row])
 
-    def _sources(self, sweep_index: int, trial_index: int) -> tuple:
-        """(sources, steering) of one trial; at fixed angles, the first trial's."""
-        if self.fixed is not None:
-            return self.fixed
-        angles = self.angles or _draw_angles(
-            self._stream(sweep_index, trial_index, "theta"), self.pencil.num_sources,
-            self.cfg.edge_offset_deg)
+    def _steered(self, angles) -> tuple:
         sources = SourceSet(angles, self.powers)
-        built = sources, steering_matrix(self.array, sources)
-        if self.angles:
-            self.fixed = built
-        return built
+        return sources, steering_matrix(self.array, sources)
+
+    def _sources(self, sweep_index: int, trial_index: int) -> tuple:
+        """(sources, steering) of one trial: the point's own, or drawn for the trial."""
+        return self.fixed or self._steered(_draw_angles(
+            self._stream(sweep_index, trial_index, "theta"), self.pencil.num_sources,
+            self.cfg.edge_offset_deg))
 
     def _draw(self, sweep_index: int, trial_index: int) -> tuple:
         """(trial index, steering, sources, compressed pencil input) of one trial.
 
-        The trial's segments are drawn into one (N, M, K) block. The pencil
-        input is the FD block, the PMPM aggregate or the SPC stage-1
-        outputs, as (K, C) snapshots.
+        The trial's segments are drawn into one (N, M, K) block, which
+        ``pencil_input`` reduces.
         """
         sources, steer = self._sources(sweep_index, trial_index)
-        segments = 1 if self.codebook is None else len(self.codebook)
-        block = np.empty((segments, self.cfg.m, self.k), dtype=complex)
+        block = np.empty((self.segments, self.cfg.m, self.k), dtype=complex)
         noise = None if self.noiseless else \
             [self._stream(sweep_index, trial_index, *label) for label in self.noise]
         # PMPM repeats one signal block over the codebook
         _receive(block, steer, sources, self._stream(sweep_index, trial_index, "signal"),
                  noise, periodic=self.codebook is not None and not self.two_stage)
-        if self.codebook is None:
-            x = block[0].T
-        elif self.two_stage:
-            x = spc_snapshots(block, self.codebook)
-        else:
-            x = pmpm_aggregate(apply_combiner(self.codebook, block), self.codebook).T
+        x = pencil_input(block, self.codebook, single_phase=self.two_stage)
         return trial_index, steer, sources, compress(x)
 
     def _resolve(self, sweep_index: int, solved: list) -> list:
@@ -414,9 +408,9 @@ class _SweepPoint:
 
     def root_crlb(self) -> float | None:
         """Root bound at the per-segment budget; None where none applies."""
-        if self.angles is None or self.noiseless or self.k < 1:
+        if self.fixed is None or self.noiseless or self.k < 1:
             return None
-        sources = SourceSet(self.angles, self.powers)
+        sources = self.fixed[0]
         try:
             if self.cfg.scenario in TWO_STAGE:
                 bound = crlb_spc(self.array, sources, self.k, self.codebook)
@@ -546,12 +540,14 @@ def parse_config_value(key: str, raw: str):
     """Parse one flat ``key = value`` entry into its typed form."""
     raw = raw.strip()
     kind = CONFIG_FIELD_TYPES.get(key)
-    if kind == "tuple":
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
+    try:
+        if kind == "tuple":
+            return tuple(float(part) for part in raw.split(",") if part.strip())
+        if kind in ("int", "float"):
+            return int(raw) if kind == "int" else float(raw)
+    except ValueError:
+        expected = {"tuple": "comma-separated numbers", "int": "an integer"}.get(kind)
+        raise ConfigError(f"{key}: expected {expected or 'a number'}, got {raw!r}") from None
     if kind == "bool":
         lowered = raw.lower()
         if lowered in ("true", "1", "yes", "on"):

@@ -132,6 +132,18 @@ class TestCrlbFd:
         crlb_fd(ArrayConfig(2, 0.5), SourceSet((21.0,), (10.0,)), 64)
 
 
+@pytest.mark.parametrize("bound", [
+    # at 200 dB the unit noise falls below rounding and leaves Upsilon singular
+    lambda: crlb_fd(ArrayConfig(16, 0.5), SourceSet((0.0,), (1e20,)), 128),
+    # a power of 1e300 overflows the core's inverse to -inf
+    lambda: crlb_spc(ArrayConfig(12, 1e-6), SourceSet((0.0, 30.0), (1.0, 1e300)), 8,
+                     build_pc_codebook(HadConfig("pc", 12, 4))),
+], ids=["singular-upsilon", "non-finite-inverse"])
+def test_bound_kernel_failure_raises_singular_fim(bound):
+    with pytest.raises(SingularFim):
+        bound()
+
+
 def bound_or_error(bound, *args):
     try:
         return bound(*args)
