@@ -65,21 +65,26 @@ class RngSpec:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.words())))
 
 
-def child_words(spec: RngSpec, indices, labels) -> np.ndarray:
-    """(I, P, W) words of ``spec.child(i, *label)`` for each of I indices and P labels.
+def child_states(spec: RngSpec, indices, labels) -> np.ndarray:
+    """(I, P, 4) ``seed_states`` of ``spec.child(i, *label)`` for I indices and P labels.
 
-    ``labels`` is a list of label tuples, all of one length.
+    ``labels`` is a list of label tuples of any lengths; the labels of each
+    length are hashed in one pass.
     """
     head = spec.words()
     index = (np.asarray(indices, dtype=np.int64) & 0xFFFFFFFF).astype(np.uint32)
-    tails = np.array([[_encode_label(x) for x in label] for label in labels],
-                     dtype=np.uint32)
-    words = np.empty((index.size, len(labels), head.size + 1 + tails.shape[1]),
-                     dtype=np.uint32)
-    words[..., :head.size] = head
-    words[..., head.size] = index[:, None]
-    words[..., head.size + 1:] = tails
-    return words
+    states = np.empty((index.size, len(labels), 4), dtype=np.uint64)
+    for width in set(map(len, labels)):
+        columns = [p for p, label in enumerate(labels) if len(label) == width]
+        tails = np.array([[_encode_label(x) for x in labels[p]] for p in columns],
+                         dtype=np.uint32)
+        words = np.empty((index.size, len(columns), head.size + 1 + width),
+                         dtype=np.uint32)
+        words[..., :head.size] = head
+        words[..., head.size] = index[:, None]
+        words[..., head.size + 1:] = tails
+        states[:, columns] = seed_states(words)
+    return states
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -99,8 +104,8 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
 def seed_states(words) -> np.ndarray:
     """``SeedSequence(row).generate_state(4, np.uint64)`` for every row at once.
 
-    ``words`` is a (..., W) uint32 array of entropy rows (``RngSpec.words``
-    or ``child_words``); the result is the C-ordered (..., 4) uint64 array of
+    ``words`` is a (..., W) uint32 array of entropy rows, such as
+    ``RngSpec.words``; the result is the C-ordered (..., 4) uint64 array of
     PCG64 seeds. This is numpy's pool-of-four SeedSequence hash in uint32
     array arithmetic: ``mix_entropy`` then ``generate_state``. A row shorter
     than the pool hashes as if padded with zero words, as numpy's does.

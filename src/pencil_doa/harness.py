@@ -4,11 +4,13 @@ A run sweeps one axis (snr, theta, snapshots, or separation), executes D
 seeded trials per sweep point, and reports pooled RMSE next to the matching
 root bound. ``_point_sources`` derives a point's sources for ``validate``,
 before any point runs, and for the point, which builds them once at fixed
-angles. Per-trial RNG streams derive from (seed, sweep index, trial index),
-seeded a chunk of trials at a time. ``estimators.pencil_input`` reduces each
-trial's (N, M, K) receive block, as in the public estimators, and each run
-of ``stack_size`` trials is solved in one batched pencil call; SPC stage 2
-then resolves them in stacks of at most ``STACK_BYTES`` of blocks.
+angles. Per-trial RNG streams derive from (seed, sweep index, trial index);
+``_SweepPoint._streams`` seeds them in trial order, a chunk of trials at a
+time. Each stack of ``stack_size`` trials is then drawn, solved and, under
+SPC, resolved in one pass: ``estimators.pencil_input`` reduces each trial's
+(N, M, K) receive block, as in the public estimators, one batched pencil
+call solves the stack, and one ``spc_resolve`` call takes the stage-2
+blocks of its solved trials, which ``stack_size`` counts with the stack.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields, replace
-from itertools import groupby
+from itertools import islice
 
 import numpy as np
 
@@ -24,13 +26,12 @@ from .arrays import (
     ArrayConfig,
     RngSpec,
     SourceSet,
-    child_words,
+    child_states,
     generate_noise,
     generate_signals,
     paired_squared_errors,
     phase_from_angle,
     receive_fd,
-    seed_states,
     state_generator,
     steering_matrix,
 )
@@ -121,16 +122,16 @@ class ExperimentConfig:
                 raise ConfigError(f"xi: {self.xi} outside [R, C-R] = [{r}, {c - r}] "
                                   f"for R={r} sources on C={c} channels")
         if self.sweep == "snr":
-            if self.powers is not None and self.snr_db is not None:
-                raise ConfigError("sources: powers and snr_db are exclusive")
+            if self.powers is not None:
+                raise ConfigError("powers: an SNR sweep sets each point's source "
+                                  "powers from its grid value")
         elif (self.powers is None) == (self.snr_db is None):
             raise ConfigError("sources: provide exactly one of powers or snr_db")
-        snrs = tuple(self.snr_db or ())
-        if self.sweep == "snr":
-            snrs += tuple(self.grid)
-        if not all(math.isfinite(s) or s == math.inf for s in snrs):
-            raise ConfigError("snr_db, snr grid: SNRs must be finite, or +inf "
-                              "for noiseless")
+        snr_fields = {"snr_db": self.snr_db or (),
+                      "grid": self.grid if self.sweep == "snr" else ()}
+        for field, snrs in snr_fields.items():
+            if not all(math.isfinite(s) or s == math.inf for s in snrs):
+                raise ConfigError(f"{field}: SNRs must be finite, or +inf for noiseless")
         if not self.random_theta and not self.angles_deg:
             raise ConfigError("angles_deg: at least one source angle is required")
         if self.sweep == "theta" and len(self.angles_deg) != 1:
@@ -286,22 +287,19 @@ class _SweepPoint:
         self.rows, self.dilation = (self.segments * self.k, self.codebook.shape[-1]) \
             if self.two_stage else (self.k, 1)
 
-        # the labels after (sweep, trial) of every stream a trial can draw,
-        # grouped by length for seeding
+        # the labels after (sweep, trial) of every stream a trial can draw
         self.noise = [] if self.noiseless else [("noise",)] if self.codebook is None \
             else [("noise", i) for i in range(self.segments)]
-        labels = [("theta",)] * cfg.random_theta + [("signal",)] + self.noise
+        self.labels = [("theta",)] * cfg.random_theta + [("signal",)] + self.noise
         if self.two_stage:
-            labels += [("signal2",)] + [("noise2",)] * (not self.noiseless)
-        self.labels = sorted(labels, key=len)
-        self.columns = {label: i for i, label in enumerate(self.labels)}
-        self.seeded = (None, 0, 0)  # (sweep index, trials first..end) in self.states
+            self.labels += [("signal2",)] + [("noise2",)] * (not self.noiseless)
 
     def run(self, sweep_index: int) -> tuple[float, int]:
         """(pooled RMSE, failures) over the trials; RMSE -1 past the failure limit.
 
-        Trials are drawn in index order, ``stack_size`` at a time, and each
-        stack of pencil inputs is solved in one batch.
+        Trials are seeded, drawn and solved in index order, ``stack_size`` at
+        a time: each stack of pencil inputs is solved in one batch, and under
+        SPC its solved trials are resolved in one more.
         """
         trials = self.cfg.trials
         # every trial fails when a stage has fewer snapshots than combiners
@@ -309,19 +307,20 @@ class _SweepPoint:
             disambiguation_combiners(self.codebook, self.pencil.num_sources)
         if self.k < 1 or scan_short or not self.drawable:
             return SENTINEL_RMSE, trials
-        step = stack_size(self.rows, _pencil_channels(self.cfg), self.pencil.xi)
+        # a stack holds its stage-2 blocks too, M by K2 per trial
+        step = stack_size(self.rows, _pencil_channels(self.cfg), self.pencil.xi,
+                          self.cfg.m * self.k2 * 16)
+        streams = self._streams(sweep_index)
         total_sq = 0.0
         count = 0
         failures = 0
-        for first in range(0, trials, step):
-            drawn = [self._draw(sweep_index, t)
-                     for t in range(first, min(first + step, trials))]
+        while drawn := [self._draw(stream) for stream in islice(streams, step)]:
             solved = [(trial, estimates) for trial, estimates
                       in zip(drawn, self._solve(np.stack([x for *_, x in drawn])))
                       if estimates is not None]
             failures += len(drawn) - len(solved)
-            if self.two_stage:
-                solved = self._resolve(sweep_index, solved)
+            if self.two_stage and solved:
+                solved = self._resolve(solved)
             for (_, _, sources, _), estimates in solved:
                 sq = paired_squared_errors(estimates, sources.angles_deg)
                 total_sq += float(np.sum(sq))  # index order keeps the sum exact
@@ -330,70 +329,56 @@ class _SweepPoint:
             return SENTINEL_RMSE, failures
         return math.sqrt(total_sq / count), failures
 
-    def _stream(self, sweep_index: int, trial_index: int, *label) -> np.random.Generator:
-        """The generator of ``RngSpec(seed).child(sweep_index, trial_index, *label)``.
+    def _streams(self, sweep_index: int):
+        """Each trial's streams in trial order, as a function of the label.
 
-        The streams of a chunk of trials, STACK_BYTES of seed states at 32
-        bytes per stream, are seeded in one pass when a trial of it first
-        draws.
+        ``stream(*label)`` builds the generator of ``RngSpec(seed).child(
+        sweep_index, trial_index, *label)`` when a trial draws from it. The
+        trials' seed states are hashed ``STACK_BYTES`` of them at a time, at
+        4 uint64 words per stream.
         """
-        sweep, first, end = self.seeded
-        if sweep != sweep_index or not first <= trial_index < end:
-            chunk = max(1, STACK_BYTES // (32 * len(self.labels)))
-            first = trial_index - trial_index % chunk
-            end = max(min(first + chunk, self.cfg.trials), trial_index + 1)
-            spec, trials = RngSpec(self.cfg.seed, (sweep_index,)), np.arange(first, end)
-            self.states = np.concatenate(
-                [seed_states(child_words(spec, trials, list(group)))
-                 for _, group in groupby(self.labels, len)], axis=1).reshape(-1, 4)
-            self.seeded = sweep_index, first, end
-        row = (trial_index - first) * len(self.labels) + self.columns[label]
-        return state_generator(self.states[row])
+        spec, trials = RngSpec(self.cfg.seed, (sweep_index,)), self.cfg.trials
+        column = {label: p for p, label in enumerate(self.labels)}
+        chunk = max(1, STACK_BYTES // (32 * len(self.labels)))
+        for first in range(0, trials, chunk):
+            for states in child_states(spec, range(first, min(first + chunk, trials)),
+                                       self.labels):
+                yield lambda *label, states=states: state_generator(states[column[label]])
 
     def _steered(self, angles) -> tuple:
         sources = SourceSet(angles, self.powers)
         return sources, steering_matrix(self.array, sources)
 
-    def _sources(self, sweep_index: int, trial_index: int) -> tuple:
-        """(sources, steering) of one trial: the point's own, or drawn for the trial."""
-        return self.fixed or self._steered(_draw_angles(
-            self._stream(sweep_index, trial_index, "theta"), self.pencil.num_sources,
-            self.cfg.edge_offset_deg))
+    def _draw(self, stream) -> tuple:
+        """(stream, steering, sources, compressed pencil input) of one trial.
 
-    def _draw(self, sweep_index: int, trial_index: int) -> tuple:
-        """(trial index, steering, sources, compressed pencil input) of one trial.
-
-        The trial's segments are drawn into one (N, M, K) block, which
-        ``pencil_input`` reduces.
+        The trial's sources are the point's own, or drawn for it; its
+        segments are drawn into one (N, M, K) block, which ``pencil_input``
+        reduces.
         """
-        sources, steer = self._sources(sweep_index, trial_index)
+        sources, steer = self.fixed or self._steered(_draw_angles(
+            stream("theta"), self.pencil.num_sources, self.cfg.edge_offset_deg))
         block = np.empty((self.segments, self.cfg.m, self.k), dtype=complex)
-        noise = None if self.noiseless else \
-            [self._stream(sweep_index, trial_index, *label) for label in self.noise]
+        noise = None if self.noiseless else [stream(*label) for label in self.noise]
         # PMPM repeats one signal block over the codebook
-        _receive(block, steer, sources, self._stream(sweep_index, trial_index, "signal"),
-                 noise, periodic=self.codebook is not None and not self.two_stage)
+        _receive(block, steer, sources, stream("signal"), noise,
+                 periodic=self.codebook is not None and not self.two_stage)
         x = pencil_input(block, self.codebook, single_phase=self.two_stage)
-        return trial_index, steer, sources, compress(x)
+        return stream, steer, sources, compress(x)
 
-    def _resolve(self, sweep_index: int, solved: list) -> list:
-        """SPC stage 2 of each (trial, stage-1 angles), in order.
+    def _resolve(self, solved: list) -> list:
+        """SPC stage 2 of each (trial, stage-1 angles) of a stack, in one resolve.
 
-        Each trial's M-by-K2 block is drawn in trial order, and the blocks
-        are resolved in stacks of at most STACK_BYTES.
+        Each trial's M-by-K2 block is drawn in trial order; ``stack_size``
+        counted these blocks with the stack.
         """
-        step = max(1, STACK_BYTES // (self.cfg.m * self.k2 * 16))
-        resolved = []
-        for first in range(0, len(solved), step):
-            part = solved[first:first + step]
-            blocks = np.empty((len(part), 1, self.cfg.m, self.k2), dtype=complex)
-            for block, ((t, steer, sources, _), _) in zip(blocks, part):
-                noise = None if self.noiseless else [self._stream(sweep_index, t, "noise2")]
-                _receive(block, steer, sources, self._stream(sweep_index, t, "signal2"), noise)
-            angles = spc_resolve(np.stack([base for _, base in part]), blocks[:, 0],
-                                 self.pencil, self.array, self.codebook)
-            resolved.extend(zip([trial for trial, _ in part], angles))
-        return resolved
+        blocks = np.empty((len(solved), 1, self.cfg.m, self.k2), dtype=complex)
+        for block, ((stream, steer, sources, _), _) in zip(blocks, solved):
+            noise = None if self.noiseless else [stream("noise2")]
+            _receive(block, steer, sources, stream("signal2"), noise)
+        angles = spc_resolve(np.stack([base for _, base in solved]), blocks[:, 0],
+                             self.pencil, self.array, self.codebook)
+        return list(zip([trial for trial, _ in solved], angles))
 
     def _solve(self, stack: np.ndarray) -> list:
         """Each pencil input's angles in one batch, or None where its solve raises."""

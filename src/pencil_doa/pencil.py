@@ -42,9 +42,11 @@ from .errors import (
 # Relative singular-value cutoff for pseudo-inverses and rank decisions.
 PINV_RCOND = 1e-10
 
-# Bytes of Hankel matrices H in one batched solve, or of SPC stage-2 blocks in
-# one batched resolve; larger inputs run alone. A solve holds H and numpy's
-# QR copy of it, so about twice this at its peak.
+# Bytes of one stack of trials: the Hankel matrices H of its batched solve
+# plus what each trial holds beside them (SPC's stage-2 block), counted by
+# ``stack_size``; larger trials run alone. A solve holds H and numpy's QR
+# copy of it, so up to about twice this at its peak. The harness also hashes
+# the seed states of its trials' streams this many bytes at a time.
 STACK_BYTES = 1 << 20
 
 
@@ -85,14 +87,15 @@ def compress(snapshots) -> np.ndarray:
     return np.linalg.qr(snapshots, mode="r") if k > c else snapshots
 
 
-def stack_size(snapshots: int, channels: int, xi: int) -> int:
-    """Pencils of K snapshots per batched solve: STACK_BYTES of H, at least one.
+def stack_size(snapshots: int, channels: int, xi: int, held: int) -> int:
+    """Pencils of K snapshots per stack: STACK_BYTES of H and ``held``, at least one.
 
-    The solve's peak is about twice the stack's H, which ``np.linalg.qr``
-    copies once.
+    ``held`` is the bytes a caller keeps per pencil of the stack next to its
+    H, such as SPC's stage-2 block. The solve's peak is about twice the
+    stack's H, which ``np.linalg.qr`` copies once.
     """
-    h_bytes = (channels - xi) * min(snapshots, channels) * (xi + 1) * 16
-    return max(1, STACK_BYTES // h_bytes) if h_bytes > 0 else 1
+    pencil_bytes = (channels - xi) * min(snapshots, channels) * (xi + 1) * 16 + held
+    return max(1, STACK_BYTES // pencil_bytes) if pencil_bytes > 0 else 1
 
 
 def augment(snapshots, xi: int) -> np.ndarray:

@@ -22,12 +22,17 @@ def result(trials_per_s, peak_rss_mb, correct=True):
                         "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}}}
 
 
-def checkout(tmp_path, name, printed, status=0):
-    """A directory whose perfbench/run.py prints ``printed`` and exits ``status``."""
+def checkout(tmp_path, name, printed, status=0, meta=None):
+    """A directory whose perfbench/run.py prints ``printed`` and exits ``status``.
+
+    The line before is ``{"meta": meta}``, or ``{}`` without one.
+    """
     root = tmp_path / name
     (root / "perfbench").mkdir(parents=True)
+    before = json.dumps({} if meta is None else {"meta": meta})
     (root / "perfbench" / "run.py").write_text(
-        f"import sys\nprint('{{}}')\nprint({json.dumps(printed)!r})\nsys.exit({status})\n")
+        f"import sys\nprint({before!r})\nprint({json.dumps(printed)!r})\n"
+        f"sys.exit({status})\n")
     return root
 
 
@@ -80,6 +85,18 @@ class TestRuns:
         assert rc == 0
         assert "| `w` | 0, 2 | 100.0 [100.0, 100.0] -> 150.0 [150.0, 150.0], 2/2 |" in out
         assert "failed trials: parent 0, change 0" in out
+        assert "src_lines: parent n/a, change n/a" in out
+
+    def test_source_lines_from_each_side_meta(self, tmp_path, capsys):
+        parent = checkout(tmp_path, "parent", result(100.0, 40.0),
+                          meta={"src_lines": 1919, "seed": 0})
+        change = checkout(tmp_path, "change", result(100.0, 40.0),
+                          meta={"src_lines": 1909, "seed": 0})
+        rc = bench_pairs.main([str(parent), str(change), "--workload", "w",
+                               "--seconds", "1", "--pairs", "2"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "src_lines: parent 1919, change 1909"
 
     def test_runs_compile_src_from_source(self, tmp_path, monkeypatch):
         parent = checkout(tmp_path, "parent", result(100.0, 40.0))

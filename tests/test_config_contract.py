@@ -118,28 +118,36 @@ def test_no_assert_in_src():
 
 
 FD = ["--scenario", "fd_mpm", "--m", "16"]
+RUN_FD = ["run"] + FD
 # SNRs in snr_db apply at every sweep but an SNR sweep
 SNAPSHOTS = ["--sweep", "snapshots", "--grid", "16"]
 
 
 @pytest.mark.parametrize("args,field", [
-    (FD + ["--trials", "abc"], "trials"),
-    (FD + ["--angles-deg", "1,x"], "angles_deg"),
-    (FD + ["--seed", str(2**64)], "seed"),
-    (FD + ["--seed", "-1"], "seed"),
-    (FD + SNAPSHOTS + ["--snr-db", "3100"], "snr_db"),
-    (FD + SNAPSHOTS + ["--snr-db", "-4000"], "snr_db"),
-    (FD + ["--sweep", "snr", "--grid", "20,3100"], "grid"),
-    (FD + ["--angles-deg", "0", "--powers", "1,2", "--sweep", "theta",
+    (RUN_FD + ["--trials", "abc"], "trials"),
+    (RUN_FD + ["--angles-deg", "1,x"], "angles_deg"),
+    (RUN_FD + ["--seed", str(2**64)], "seed"),
+    (RUN_FD + ["--seed", "-1"], "seed"),
+    (RUN_FD + SNAPSHOTS + ["--snr-db", "3100"], "snr_db"),
+    (RUN_FD + SNAPSHOTS + ["--snr-db", "-4000"], "snr_db"),
+    (RUN_FD + ["--sweep", "snr", "--grid", "20,3100"], "grid"),
+    (RUN_FD + ["--angles-deg", "0", "--powers", "1,2", "--sweep", "theta",
            "--grid", "0"], "powers"),
-    (FD + SNAPSHOTS + ["--angles-deg", "0,10", "--snr-db", "10,20,30"], "snr_db"),
-    (FD + ["--angles-deg", "0", "--powers", "1e-400", "--sweep", "theta",
+    (RUN_FD + SNAPSHOTS + ["--angles-deg", "0,10", "--snr-db", "10,20,30"], "snr_db"),
+    (RUN_FD + ["--angles-deg", "0", "--powers", "1e-400", "--sweep", "theta",
            "--grid", "0"], "powers"),
+    # an SNR sweep takes its powers from the grid
+    (["preset", "example2", "--powers", "1"], "powers"),
+    (["run", "--scenario", "fd_mpm", "--m", "8", "--powers", "nan", "--grid", "10"],
+     "powers"),
+    (["run", "--scenario", "fd_mpm", "--m", "8", "--grid", "nan"], "grid"),
+    (RUN_FD + ["--sweep", "snr", "--snr-db", "nan"], "snr_db"),
 ], ids=["trials-abc", "angle-x", "seed-2**64", "seed-minus-1", "snr-overflow",
         "snr-underflow", "snr-grid-overflow", "power-count", "snr-count",
-        "zero-power"])
+        "zero-power", "preset-snr-sweep-powers", "snr-sweep-powers", "snr-grid-nan",
+        "snr-db-nan-at-snr-sweep"])
 def test_bad_value_exits_2_naming_its_field(args, field, capsys):
-    rc = cli_main(["run"] + args)
+    rc = cli_main(args)
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith(f"configuration error: {field}:")

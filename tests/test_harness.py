@@ -16,6 +16,7 @@ from pencil_doa import harness
 from pencil_doa.cli import build_parser
 from pencil_doa.cli import main as cli_main
 from pencil_doa.errors import ConfigError, LowSnrWarning, OutOfRangeWarning
+from pencil_doa.pencil import STACK_BYTES
 from pencil_doa.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -328,6 +329,28 @@ class TestWarningCounts:
         monkeypatch.setattr(harness, "stack_size", lambda *_: 1)
         assert run() == stacked
         assert stacked[1][LowSnrWarning] > 0 and stacked[1][OutOfRangeWarning] > 0
+
+
+class TestStackMemory:
+    def test_example2_stage2_stacks_stay_within_stack_bytes(self, monkeypatch):
+        # every stack's stage-2 blocks are resolved in one call, and
+        # stack_size counts them with the stack, so no call exceeds the cap
+        shapes = []
+        resolve = harness.spc_resolve
+
+        def recording(base, blocks, *args):
+            shapes.append(blocks.shape)
+            return resolve(base, blocks, *args)
+
+        monkeypatch.setattr(harness, "spc_resolve", recording)
+        cfg = preset("example2")
+        assert cfg.trials == 200
+        records = run_experiment(cfg)
+        assert sum(shape[0] for shape in shapes) == \
+            sum(rec.trials - rec.failures for rec in records)
+        assert max(shape[0] for shape in shapes) > 1
+        for shape in shapes:
+            assert math.prod(shape) * 16 <= STACK_BYTES, shape
 
 
 class TestCsv:

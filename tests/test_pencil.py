@@ -24,6 +24,7 @@ from pencil_doa import (
     svd_denoise,
 )
 from pencil_doa.arrays import paired_squared_errors
+from pencil_doa.pencil import STACK_BYTES, stack_size
 from pencil_doa.errors import (
     EmptyInput,
     OutOfRangeWarning,
@@ -309,3 +310,14 @@ class TestCompositePipeline:
         assert levels[1] <= levels[0]
         assert levels[2] <= levels[1]
         assert levels[2] < levels[0]
+
+
+class TestStackSize:
+    # H of 224 snapshots on 8 channels at xi 4 is 4 x 8 x 5 complex: 2,560 bytes
+    @pytest.mark.parametrize("held", [0, 1, 32768, STACK_BYTES - 2560])
+    def test_held_bytes_count_with_each_pencil(self, held):
+        assert stack_size(224, 8, 4, held) == STACK_BYTES // (2560 + held)
+
+    @pytest.mark.parametrize("held", [STACK_BYTES, 10 * STACK_BYTES])
+    def test_a_trial_that_holds_the_cap_runs_alone(self, held):
+        assert stack_size(224, 8, 4, held) == 1

@@ -250,7 +250,7 @@ class TestBatchedSolve:
         cfg = ExperimentConfig(scenario="fd_mpm", m=12, angles_deg=(10.0, 9.7),
                                snapshots=40, xi=6, trials=7)
         point = _SweepPoint(cfg, _receiver(cfg), 20.0)
-        stack = np.stack([x for *_, x in (point._draw(0, t) for t in range(7))])
+        stack = np.stack([x for *_, x in map(point._draw, point._streams(0))])
         single = point._solve(stack)
         stack[3] = 0.0  # RankError
         stack[5, 2, 4] = np.nan  # LinAlgError in the SVD

@@ -25,7 +25,7 @@ from pencil_doa import ArrayConfig, HadConfig, PencilConfig, SourceSet, build_pc
 from pencil_doa import harness
 from pencil_doa.arrays import (
     RngSpec,
-    child_words,
+    child_states,
     generate_signals,
     seed_states,
     state_generator,
@@ -84,10 +84,26 @@ class TestVectorizedSeedingMatchesGenerator:
     def test_child_rows_at_once(self, seed, head, indices, width, data):
         labels = data.draw(st.lists(st.tuples(*[LABELS] * width), min_size=1, max_size=4))
         spec = RngSpec(seed, tuple(head))
-        states = seed_states(child_words(spec, indices, labels))
+        states = child_states(spec, indices, labels)
         assert states.shape == (len(indices), len(labels), 4)
         for i, row in zip(indices, states):
             for label, state in zip(labels, row):
+                assert_same_stream(state_generator(state),
+                                   spec.child(i, *label).generator())
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, head=st.lists(LABELS, max_size=3),
+           indices=st.lists(st.integers(0, 2**40), max_size=4),
+           labels=st.lists(st.lists(LABELS, max_size=3).map(tuple), min_size=1,
+                           max_size=6))
+    def test_child_states_of_mixed_lengths(self, seed, head, indices, labels):
+        # labels of several lengths, interleaved, keep their order in the rows
+        spec = RngSpec(seed, tuple(head))
+        states = child_states(spec, indices, labels)
+        assert states.shape == (len(indices), len(labels), 4)
+        for i, row in zip(indices, states):
+            for label, state in zip(labels, row):
+                npt.assert_array_equal(state, seed_states(spec.child(i, *label).words()))
                 assert_same_stream(state_generator(state),
                                    spec.child(i, *label).generator())
 
@@ -129,10 +145,9 @@ class TestReceiveBlockMatchesPerSegment:
         steer = steering_matrix(ArrayConfig(m), sources)
         spec = RngSpec(seed, (3,))
         noise_labels = [("noise", i) for i in range(segments)]
-        signal = state_generator(seed_states(child_words(spec, [trial], [("signal",)]))[0, 0])
+        signal = state_generator(child_states(spec, [trial], [("signal",)])[0, 0])
         noise = None if noiseless else [
-            state_generator(state)
-            for state in seed_states(child_words(spec, [trial], noise_labels))[0]]
+            state_generator(state) for state in child_states(spec, [trial], noise_labels)[0]]
         block = np.empty((segments, m, k), dtype=complex)
         harness._receive(block, steer, sources, signal, noise, periodic)
         point = SimpleNamespace(noiseless=noiseless, cfg=SimpleNamespace(m=m))
@@ -143,7 +158,7 @@ class TestReceiveBlockMatchesPerSegment:
 
 
 class TestSweepPointStreams:
-    """A sweep point's streams are the specs' generators, in any call order."""
+    """A sweep point's streams are the specs' generators, trial by trial."""
 
     @pytest.mark.parametrize("changes", [
         {"scenario": "fd_mpm"},
@@ -158,18 +173,26 @@ class TestSweepPointStreams:
         point = _SweepPoint(cfg, _receiver(cfg), cfg.grid[0])
         # three trials' streams per chunk
         monkeypatch.setattr(harness, "STACK_BYTES", 3 * 32 * len(point.labels))
-        for sweep, trial in [(0, 5), (0, 0), (0, 6), (4, 1), (0, 6), (0, 3), (4, 0)]:
-            for label in point.labels:
-                assert_same_stream(point._stream(sweep, trial, *label),
-                                   RngSpec(cfg.seed).child(sweep, trial, *label).generator())
-            first, end = point.seeded[1:]
-            assert end - first == (1 if trial == 6 else 3) and first == trial - trial % 3
+        chunks = []
+        seed_chunk = harness.child_states
+        monkeypatch.setattr(harness, "child_states", lambda spec, indices, labels: (
+            chunks.append(list(indices)) or seed_chunk(spec, indices, labels)))
+        for sweep in (0, 4):
+            trials = list(point._streams(sweep))
+            assert len(trials) == cfg.trials
+            for trial, stream in enumerate(trials):
+                for label in point.labels:
+                    spec = RngSpec(cfg.seed).child(sweep, trial, *label)
+                    assert_same_stream(stream(*label), spec.generator())
+        assert chunks == [[0, 1, 2], [3, 4, 5], [6]] * 2
 
     def test_only_drawable_streams_are_seeded(self):
         cfg = ExperimentConfig(scenario="spc_mpm", m=16, l=4, angles_deg=(10.0,),
                                snr_db=None, powers=None, sweep="snr", trials=2)
         noiseless = _SweepPoint(cfg, _receiver(cfg), float("inf"))
         assert noiseless.labels == [("signal",), ("signal2",)]
+        with pytest.raises(KeyError):
+            next(noiseless._streams(0))("noise2")
         cfg = ExperimentConfig(scenario="pmpm_fc", m=16, l=4, random_theta=True,
                                sweep="snapshots", grid=(64,), snr_db=(10.0,))
         point = _SweepPoint(cfg, _receiver(cfg), 64)

@@ -15,7 +15,9 @@ metric of BENCHMARK.json, the parent's median [first quartile, third
 quartile], the change's, and how many pairs the change won. A pair is won
 when the change is better in the direction BENCHMARK.json gives. Below the
 table, a line per metric gives the change in the median and compares the gap
-between medians with the parent's interquartile range.
+between medians with the parent's interquartile range, and a last line gives
+each side's ``src_lines``, read from the ``meta`` line that ``run.py``
+prints before its result.
 
 Exit status: 0 when every run reported ``"correct": true``, 1 as soon as one
 reports ``"correct": false``, 2 when a run fails in another way. Uses only
@@ -49,7 +51,10 @@ class Incorrect(Exception):
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result, the last line that ``perfbench/run.py`` prints."""
+    """The JSON result, the last line that ``perfbench/run.py`` prints.
+
+    Its ``meta`` holds the run's metadata from the line before, or {}.
+    """
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     # an empty PYTHONPYCACHEPREFIX would also recompile numpy and the standard
@@ -73,6 +78,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise Incorrect(f"{checkout}: {lines[-1]}")
     if done.returncode != 0 or "metrics" not in result:
         raise RunError(f"{checkout}: exit {done.returncode}\n{done.stdout}{done.stderr}")
+    try:
+        result["meta"] = json.loads(lines[-2])["meta"]
+    except (IndexError, json.JSONDecodeError, KeyError, TypeError):
+        result["meta"] = {}
     return result
 
 
@@ -152,6 +161,13 @@ def verdicts(rows: list, pairs: int) -> list:
     return lines
 
 
+def source_lines(pairs: list) -> str:
+    """Each side's ``src_lines`` from its runs' metadata; n/a where none gave it."""
+    counts = [sorted({str(pair[side]["meta"].get("src_lines", "n/a"))
+                      for pair in pairs}) for side in (0, 1)]
+    return f"src_lines: parent {'/'.join(counts[0])}, change {'/'.join(counts[1])}"
+
+
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -188,6 +204,7 @@ def main(argv=None) -> int:
     failed = {side: sum(pair[i]["failed"] for pair in pairs)
               for i, side in enumerate(("parent", "change"))}
     print(f"failed trials: parent {failed['parent']}, change {failed['change']}")
+    print(source_lines(pairs))
     return 0
 
 
