@@ -68,23 +68,17 @@ class RngSpec:
 def child_states(spec: RngSpec, indices, labels) -> np.ndarray:
     """(I, P, 4) ``seed_states`` of ``spec.child(i, *label)`` for I indices and P labels.
 
-    ``labels`` is a list of label tuples of any lengths; the labels of each
-    length are hashed in one pass.
+    ``labels`` is a list of label tuples of any lengths; all I*P word rows
+    are hashed in one pass, zero-padded to the longest.
     """
-    head = spec.words()
-    index = (np.asarray(indices, dtype=np.int64) & 0xFFFFFFFF).astype(np.uint32)
-    states = np.empty((index.size, len(labels), 4), dtype=np.uint64)
-    for width in set(map(len, labels)):
-        columns = [p for p, label in enumerate(labels) if len(label) == width]
-        tails = np.array([[_encode_label(x) for x in labels[p]] for p in columns],
-                         dtype=np.uint32)
-        words = np.empty((index.size, len(columns), head.size + 1 + width),
-                         dtype=np.uint32)
-        words[..., :head.size] = head
-        words[..., head.size] = index[:, None]
-        words[..., head.size + 1:] = tails
-        states[:, columns] = seed_states(words)
-    return states
+    head = spec.words().size  # the index word follows the spec's own words
+    rows = [spec.child(0, *label).words() for label in labels]
+    counts = [row.size for row in rows]
+    words = np.zeros((len(indices), len(rows), max(counts, default=head + 1)), np.uint32)
+    for p, row in enumerate(rows):
+        words[:, p, :row.size] = row
+    words[..., head] = (np.asarray(indices, dtype=np.int64) & 0xFFFFFFFF)[:, None]
+    return seed_states(words, counts)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -101,17 +95,20 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     return np.array(out, dtype=np.uint32)
 
 
-def seed_states(words) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row at once.
+def seed_states(words, counts=None) -> np.ndarray:
+    """``SeedSequence(row[:count]).generate_state(4, np.uint64)`` for every row at once.
 
-    ``words`` is a (..., W) uint32 array of entropy rows, such as
-    ``RngSpec.words``; the result is the C-ordered (..., 4) uint64 array of
-    PCG64 seeds. This is numpy's pool-of-four SeedSequence hash in uint32
-    array arithmetic: ``mix_entropy`` then ``generate_state``. A row shorter
-    than the pool hashes as if padded with zero words, as numpy's does.
+    ``words`` is a (..., W) uint32 array of zero-padded entropy rows, such as
+    ``RngSpec.words``, and ``counts`` their word counts, W where omitted; the
+    result is the C-ordered (..., 4) uint64 array of PCG64 seeds. This is
+    numpy's pool-of-four SeedSequence hash in uint32 array arithmetic:
+    ``mix_entropy`` then ``generate_state``. A row shorter than the pool
+    hashes as if padded with zero words, as numpy's does; past the pool, a
+    row mixes in only its own words.
     """
     words = np.asarray(words, dtype=np.uint32)
     width = words.shape[-1]
+    counts = np.expand_dims(width if counts is None else counts, -1)
     const = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(width - 4, 0))
     used = 0
 
@@ -131,8 +128,8 @@ def seed_states(words) -> np.ndarray:
     for src in range(4):  # every pool word into each of the others, in order
         dst = [d for d in range(4) if d != src]
         pool[..., dst] = mix(pool[..., dst], hashmix(pool[..., src:src + 1], 3))
-    for i in range(4, width):  # each further word into the whole pool
-        pool = mix(pool, hashmix(words[..., i:i + 1], 4))
+    for i in range(4, width):  # each further word into the whole pool of its rows
+        pool = np.where(i < counts, mix(pool, hashmix(words[..., i:i + 1], 4)), pool)
     const = _hash_constants(_INIT_B, _MULT_B, 8)
     state = (np.tile(pool, 2) ^ const[:-1]) * const[1:]  # cycles the pool twice
     state ^= state >> 16
@@ -245,21 +242,18 @@ def generate_signals(sources: SourceSet, snapshots: int, segments: int,
 
     ``rng`` is an ``RngSpec`` or a generator. Entries are zero-mean
     circularly symmetric complex Gaussians with per-row variance equal to
-    the source power. With ``periodic=True`` a single draw is replicated
-    across all segments. Otherwise one (segments, 2, R, K) draw supplies each
-    segment's real then imaginary parts, in the order of one draw per part
-    and segment; for one segment both forms draw the same block.
+    the source power. One (draws, 2, R, K) draw supplies each drawn block's
+    real then imaginary parts, in the order of one draw per part and block:
+    one block, repeated across all segments, with ``periodic=True``, else
+    one block per segment. For one segment both forms draw the same block.
     """
     if snapshots < 1 or segments < 1:
         raise ConfigError("snapshots and segments must be positive")
     gen = _generator(rng)
     scale = np.sqrt(np.asarray(sources.powers, dtype=float) / 2.0)[:, None]
-    if periodic:
-        shape = (sources.count, snapshots)
-        block = scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
-        return np.repeat(block[None], segments, axis=0)
-    parts = gen.standard_normal((segments, 2, sources.count, snapshots))
-    return scale * (parts[:, 0] + 1j * parts[:, 1])
+    parts = gen.standard_normal((1 if periodic else segments, 2, sources.count, snapshots))
+    block = scale * (parts[:, 0] + 1j * parts[:, 1])
+    return np.repeat(block, segments, axis=0) if periodic else block
 
 
 def generate_noise(channels: int, snapshots: int, rng, out=None) -> SnapshotBlock:

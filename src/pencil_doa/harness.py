@@ -566,7 +566,8 @@ def config_from_mapping(values: dict,
     """The validated config: ``values`` over ``base``, or over the defaults.
 
     Without a base, ``values`` must name the scenario. Powers given without
-    an SNR replace the base's SNR.
+    an SNR replace the base's SNR. An SNR sweep takes its SNRs from the grid
+    alone, so ``values`` may not give it ``snr_db``.
     """
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(values) - known
@@ -579,5 +580,7 @@ def config_from_mapping(values: dict,
     if "powers" in values and "snr_db" not in values:
         base = replace(base, snr_db=None)
     cfg = replace(base, **values)
+    if values.get("snr_db") is not None and cfg.sweep == "snr":
+        raise ConfigError("snr_db: an SNR sweep sets each point's SNR from its grid value")
     cfg.validate()
     return cfg

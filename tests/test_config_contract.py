@@ -121,6 +121,7 @@ FD = ["--scenario", "fd_mpm", "--m", "16"]
 RUN_FD = ["run"] + FD
 # SNRs in snr_db apply at every sweep but an SNR sweep
 SNAPSHOTS = ["--sweep", "snapshots", "--grid", "16"]
+SNR_SWEEP = ["run", "--scenario", "fd_mpm", "--m", "8", "--grid", "10", "--trials", "2"]
 
 
 @pytest.mark.parametrize("args,field", [
@@ -142,10 +143,15 @@ SNAPSHOTS = ["--sweep", "snapshots", "--grid", "16"]
      "powers"),
     (["run", "--scenario", "fd_mpm", "--m", "8", "--grid", "nan"], "grid"),
     (RUN_FD + ["--sweep", "snr", "--snr-db", "nan"], "snr_db"),
+    # and its SNRs from the grid
+    (SNR_SWEEP + ["--snr-db", "5"], "snr_db"),
+    (SNR_SWEEP + ["--snr-db", "5,6,7"], "snr_db"),
+    (["preset", "example2", "--snr-db", "5"], "snr_db"),
 ], ids=["trials-abc", "angle-x", "seed-2**64", "seed-minus-1", "snr-overflow",
         "snr-underflow", "snr-grid-overflow", "power-count", "snr-count",
         "zero-power", "preset-snr-sweep-powers", "snr-sweep-powers", "snr-grid-nan",
-        "snr-db-nan-at-snr-sweep"])
+        "snr-db-nan-at-snr-sweep", "snr-sweep-snr-db", "snr-sweep-snr-db-per-source",
+        "preset-snr-sweep-snr-db"])
 def test_bad_value_exits_2_naming_its_field(args, field, capsys):
     rc = cli_main(args)
     captured = capsys.readouterr()
@@ -160,6 +166,16 @@ def test_malformed_number_in_config_file_exits_2(tmp_path, capsys):
     rc = cli_main(["run", "--config", str(path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("configuration error: m:")
+
+
+def test_snr_db_in_config_file_at_snr_sweep_exits_2(tmp_path, capsys):
+    path = tmp_path / "snr.cfg"
+    path.write_text("scenario = fd_mpm\nm = 8\nsweep = snr\ngrid = 0, 10\nsnr_db = 5\n")
+    rc = cli_main(["run", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("configuration error: snr_db:")
+    assert captured.out == ""
 
 
 def test_singular_bound_leaves_bound_empty(capsys):

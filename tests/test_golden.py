@@ -9,7 +9,9 @@ the theta sweep and the sentinel and failure paths that the benchmark
 references do not reach. The CSV prints nine significant digits, so
 ``tests/golden/bits.txt`` pins the bits: one line per record with its case
 id and ``float.hex`` of its sweep value, ``rmse_deg`` and ``root_crlb_deg``
-("-" where empty).
+("-" where empty). Those bits hold for one host: they move with the BLAS
+thread count and with the SIMD extensions numpy dispatches to. The CSV bytes
+must not, so they are also checked with every dispatched extension disabled.
 
 A change meant to keep the outputs must pass this test unchanged. Rewrite the
 files only for a change meant to alter them, and say why in CHANGES.md; this
@@ -18,12 +20,17 @@ regenerates the CSV files and ``bits.txt`` together:
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import ctypes
 import functools
+import json
 import math
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pencil_doa.harness import (
@@ -35,7 +42,8 @@ from pencil_doa.harness import (
     run_experiment,
 )
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+TESTS_DIR = Path(__file__).resolve().parent
+GOLDEN_DIR = TESTS_DIR / "golden"
 BITS_PATH = GOLDEN_DIR / "bits.txt"
 TRIALS = 4
 
@@ -94,6 +102,26 @@ def golden_path(name: str, scenario: str, variant: str) -> Path:
     return GOLDEN_DIR / f"{'__'.join(filter(None, (name, scenario, variant)))}.csv"
 
 
+def dispatched_simd() -> list:
+    """The SIMD extensions past its baseline that numpy dispatches to on this host."""
+    return np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+
+
+def blas_threads():
+    """The thread count of numpy's bundled OpenBLAS, or None where it cannot be read."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+
+
 def test_corpus_covers_every_case():
     assert len(golden_cases()) == 23
     assert sorted(GOLDEN_DIR.glob("*.csv")) == sorted(
@@ -114,7 +142,23 @@ def test_csv_matches_golden(name, scenario, variant):
                          ids=[case_id(case) for case in golden_cases()])
 def test_bits_match_golden(name, scenario, variant):
     expected = golden_bits_lines(case_id((name, scenario, variant)))
-    assert golden_bits(name, scenario, variant) == expected
+    assert golden_bits(name, scenario, variant) == expected, (
+        f"bits differ from bits.txt with numpy {np.__version__}, SIMD dispatch "
+        f"{dispatched_simd()} and {blas_threads()} BLAS threads")
+
+
+def test_csv_matches_golden_without_simd_dispatch():
+    # the CSV's nine digits must not depend on the SIMD level numpy picks
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(TESTS_DIR.parent / "src"),
+                                                       str(TESTS_DIR)]),
+               NPY_DISABLE_CPU_FEATURES=" ".join(dispatched_simd()))
+    script = ("import json, test_golden as g; print(json.dumps("
+              "{g.case_id(case): g.golden_csv(*case) for case in g.golden_cases()}))")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    csvs = json.loads(done.stdout)
+    assert [case_id(case) for case in golden_cases()
+            if csvs[case_id(case)].encode("utf-8") != golden_path(*case).read_bytes()] == []
 
 
 if __name__ == "__main__":

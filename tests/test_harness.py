@@ -570,7 +570,7 @@ class TestCli:
         # carries no bound instead of one made of rounding
         out_path = tmp_path / "z.csv"
         rc = cli_main(["crlb", "--scenario", "crlb_spc", "--m", "16", "--l", "2",
-                       "--angles-deg", "0,21", "--snr-db", "10",
+                       "--angles-deg", "0,21",
                        "--snapshots", "64", "--grid", "10", "--out", str(out_path)])
         assert rc == 0
         with open(out_path, newline="") as handle:

@@ -70,12 +70,22 @@ class TestVectorizedSeedingMatchesGenerator:
     """``seed_states`` rows seed the streams that ``RngSpec.generator`` seeds."""
 
     @settings(max_examples=300, deadline=None)
-    @given(seed=SEEDS, labels=st.lists(LABELS, max_size=6))
-    def test_one_spec(self, seed, labels):
+    @given(seed=SEEDS, labels=st.lists(LABELS, max_size=6),
+           rows=st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=9),
+                         min_size=1, max_size=5))
+    def test_one_spec(self, seed, labels, rows):
         # 1 to 8 words: below the pool of four, the pool is zero-padded
         spec = RngSpec(seed, tuple(labels))
         assert 1 <= spec.words().size <= 8
         assert_same_stream(state_generator(seed_states(spec.words())), spec.generator())
+        # rows of 1 to 9 words, zero-padded to one width, each hashed at its own count
+        counts = [len(row) for row in rows]
+        words = np.zeros((len(rows), max(counts)), dtype=np.uint32)
+        for padded, row in zip(words, rows):
+            padded[:len(row)] = row
+        for state, row, count in zip(seed_states(words, counts), words, counts):
+            npt.assert_array_equal(
+                state, np.random.SeedSequence(row[:count]).generate_state(4, np.uint64))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=SEEDS, head=st.lists(LABELS, max_size=3),
