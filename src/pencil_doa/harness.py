@@ -11,12 +11,23 @@ SPC, resolved in one pass: ``estimators.pencil_input`` reduces each trial's
 (N, M, K) receive block, as in the public estimators, one batched pencil
 call solves the stack, and one ``spc_resolve`` call takes the stage-2
 blocks of its solved trials, which ``stack_size`` counts with the stack.
+
+``run_experiment`` pins OpenBLAS to one thread for its length and splits
+each point's trials into P contiguous shares, one per CPU it may run on.
+It runs the first share itself and forks one process per other share; each
+process sends back its trials' squared errors, in trial order, and the
+caller sums all of them in trial order, so the CSV is the same at any P.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import pickle
+import sys
 import time
+import warnings
 from dataclasses import dataclass, fields, replace
 from itertools import islice
 
@@ -57,7 +68,7 @@ ARCHITECTURES = {"pmpm_fc": FC, "pmpm_pc": PC, "spc_mpm": PC, "crlb_spc": PC}
 TWO_STAGE = ("spc_mpm", "crlb_spc")
 
 # perfbench/run.py reads THREADS_ENV and worker_count() for its run metadata
-# and pool share; neither changes how trials run.
+# and pool share; neither changes how trials run (see _process_count).
 THREADS_ENV = "PENCIL_DOA_THREADS"
 
 # Records whose failure share exceeds this carry the sentinel RMSE of -1.
@@ -294,26 +305,24 @@ class _SweepPoint:
         if self.two_stage:
             self.labels += [("signal2",)] + [("noise2",)] * (not self.noiseless)
 
-    def run(self, sweep_index: int) -> tuple[float, int]:
-        """(pooled RMSE, failures) over the trials; RMSE -1 past the failure limit.
+    def errors(self, sweep_index: int, trials: range) -> tuple[list, int, int]:
+        """(summed squared error of each solved trial, error count, failures).
 
-        Trials are seeded, drawn and solved in index order, ``stack_size`` at
-        a time: each stack of pencil inputs is solved in one batch, and under
-        SPC its solved trials are resolved in one more.
+        The sums follow trial order over ``trials``. Trials are seeded, drawn
+        and solved in index order, ``stack_size`` at a time: each stack of
+        pencil inputs is solved in one batch, and under SPC its solved
+        trials are resolved in one more.
         """
-        trials = self.cfg.trials
         # every trial fails when a stage has fewer snapshots than combiners
         scan_short = self.two_stage and self.k2 < \
             disambiguation_combiners(self.codebook, self.pencil.num_sources)
         if self.k < 1 or scan_short or not self.drawable:
-            return SENTINEL_RMSE, trials
+            return [], 0, len(trials)
         # a stack holds its stage-2 blocks too, M by K2 per trial
         step = stack_size(self.rows, _pencil_channels(self.cfg), self.pencil.xi,
                           self.cfg.m * self.k2 * 16)
-        streams = self._streams(sweep_index)
-        total_sq = 0.0
-        count = 0
-        failures = 0
+        streams = self._streams(sweep_index, trials)
+        sums, count, failures = [], 0, 0
         while drawn := [self._draw(stream) for stream in islice(streams, step)]:
             solved = [(trial, estimates) for trial, estimates
                       in zip(drawn, self._solve(np.stack([x for *_, x in drawn])))
@@ -323,25 +332,25 @@ class _SweepPoint:
                 solved = self._resolve(solved)
             for (_, _, sources, _), estimates in solved:
                 sq = paired_squared_errors(estimates, sources.angles_deg)
-                total_sq += float(np.sum(sq))  # index order keeps the sum exact
+                sums.append(float(np.sum(sq)))
                 count += sq.size
-        if failures > FAILURE_SHARE_LIMIT * trials or count == 0:
-            return SENTINEL_RMSE, failures
-        return math.sqrt(total_sq / count), failures
+        return sums, count, failures
 
-    def _streams(self, sweep_index: int):
+    def _streams(self, sweep_index: int, trials: range | None = None):
         """Each trial's streams in trial order, as a function of the label.
 
-        ``stream(*label)`` builds the generator of ``RngSpec(seed).child(
-        sweep_index, trial_index, *label)`` when a trial draws from it. The
-        trials' seed states are hashed ``STACK_BYTES`` of them at a time, at
-        4 uint64 words per stream.
+        ``trials`` defaults to all of the point's trials. ``stream(*label)``
+        builds the generator of ``RngSpec(seed).child(sweep_index,
+        trial_index, *label)`` when a trial draws from it. The trials' seed
+        states are hashed ``STACK_BYTES`` of them at a time, at 4 uint64
+        words per stream.
         """
-        spec, trials = RngSpec(self.cfg.seed, (sweep_index,)), self.cfg.trials
+        spec = RngSpec(self.cfg.seed, (sweep_index,))
+        trials = range(self.cfg.trials) if trials is None else trials
         column = {label: p for p, label in enumerate(self.labels)}
         chunk = max(1, STACK_BYTES // (32 * len(self.labels)))
-        for first in range(0, trials, chunk):
-            for states in child_states(spec, range(first, min(first + chunk, trials)),
+        for first in range(trials.start, trials.stop, chunk):
+            for states in child_states(spec, range(first, min(first + chunk, trials.stop)),
                                        self.labels):
                 yield lambda *label, states=states: state_generator(states[column[label]])
 
@@ -407,8 +416,42 @@ class _SweepPoint:
 
 
 def worker_count() -> int:
-    """Trials run serially on the calling thread, so one worker."""
+    """One, as no thread pool runs trials; the benchmark reads it.
+
+    ``run_experiment`` forks processes instead, ``_process_count()`` of them
+    with itself, and this count leaves them out.
+    """
     return 1
+
+
+def _process_count() -> int:
+    """Processes to share each sweep point's trials: the CPUs this one may use.
+
+    One where the platform cannot fork or report its CPU affinity.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for name in sorted(os.listdir(libs)) if os.path.isdir(libs) else ():
+        if "openblas" not in name:
+            continue
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
 
 
 def run_experiment(cfg: ExperimentConfig, measure_time: bool = False) -> list:
@@ -418,24 +461,130 @@ def run_experiment(cfg: ExperimentConfig, measure_time: bool = False) -> list:
     the RMSE; a failure share above 20% replaces the RMSE with -1. With
     ``measure_time`` False (the default) wall_ms is reported as 0 so that
     repeated runs emit byte-identical CSV.
+
+    OpenBLAS runs one thread until the call returns, where numpy bundles
+    one. Each point's trials are split into ``_process_count()`` contiguous
+    shares, at most one per trial, and one for a bound scenario: this
+    process runs the first share and a forked process each other. Their
+    warnings are emitted here, in trial order, and an exception one of them
+    raises is raised here.
     """
     cfg.validate()
     receiver = _receiver(cfg)
-    records = []
-    for sweep_index, value in enumerate(cfg.grid):
-        start = time.perf_counter()
-        point = _SweepPoint(cfg, receiver, value)
-        if cfg.scenario in CRLB_SCENARIOS:
-            rmse_value, trials, failures = None, 0, 0
-        else:
-            rmse_value, failures = point.run(sweep_index)
-            trials = cfg.trials
-        records.append(ResultRecord(
-            sweep_value=float(value), scenario=cfg.scenario,
-            rmse_deg=rmse_value, root_crlb_deg=point.root_crlb(),
-            trials=trials, failures=failures,
-            wall_ms=_elapsed_ms(start, measure_time)))
-    return records
+    processes = 1 if cfg.scenario in CRLB_SCENARIOS else min(_process_count(), cfg.trials)
+    shares = [range(cfg.trials * p // processes, cfg.trials * (p + 1) // processes)
+              for p in range(processes)]
+    blas = _blas_threads()
+    threads = blas and blas[0]()
+    if blas:
+        blas[1](1)
+    children, failed = [], True
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(cfg, receiver, share, children))
+        records = []
+        for sweep_index, value in enumerate(cfg.grid):
+            start = time.perf_counter()
+            point = _SweepPoint(cfg, receiver, value)
+            if cfg.scenario in CRLB_SCENARIOS:
+                rmse_value, trials, failures = None, 0, 0
+            else:
+                sums, count, failures = point.errors(sweep_index, shares[0])
+                for child in children:
+                    more, extra, lost = _child_errors(*child)
+                    sums, count, failures = sums + more, count + extra, failures + lost
+                rmse_value, trials = _pooled_rmse(sums, count, failures, cfg.trials), cfg.trials
+            records.append(ResultRecord(
+                sweep_value=float(value), scenario=cfg.scenario,
+                rmse_deg=rmse_value, root_crlb_deg=point.root_crlb(),
+                trials=trials, failures=failures,
+                wall_ms=_elapsed_ms(start, measure_time)))
+        failed = False
+        return records
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if failed:
+                os.kill(pid, 9)  # SIGKILL, 9 wherever os.fork exists
+            os.waitpid(pid, 0)
+        if blas:
+            blas[1](threads)
+
+
+def _pooled_rmse(sums: list, count: int, failures: int, trials: int) -> float:
+    """The pooled RMSE of per-trial squared-error sums; -1 past the failure limit."""
+    if failures > FAILURE_SHARE_LIMIT * trials or count == 0:
+        return SENTINEL_RMSE
+    # trial order keeps the sum exact at any process count; a loop, since
+    # sum() compensates float sums from Python 3.12 on
+    total_sq = 0.0
+    for value in sums:
+        total_sq += value
+    return math.sqrt(total_sq / count)
+
+
+def _fork_share(cfg: ExperimentConfig, receiver: tuple, trials: range,
+                siblings: list) -> tuple:
+    """(pid, read end of its pipe) of a forked process that runs ``trials``.
+
+    The process takes the sweep points in order and writes one pickled
+    record per point: its ``_SweepPoint.errors`` and the warnings they
+    raised, or the exception it hit, after which it stops. It leaves through
+    ``os._exit``, so it flushes no stdio buffer and runs no exit handler
+    that it inherited.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    try:
+        os.close(read)
+        for _, pipe in siblings:
+            pipe.close()
+        with open(write, "wb") as pipe:
+            for sweep_index, value in enumerate(cfg.grid):
+                try:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        errors = _SweepPoint(cfg, receiver, value).errors(sweep_index, trials)
+                    record = errors, [(w.message, w.category, w.filename, w.lineno)
+                                      for w in caught]
+                except BaseException as exc:
+                    record = exc
+                pickle.dump(record, pipe)
+                pipe.flush()
+                if isinstance(record, BaseException):
+                    break
+    finally:
+        os._exit(0)
+
+
+def _child_errors(pid: int, pipe) -> tuple:
+    """The next point's ``errors`` from a forked process, its warnings emitted here.
+
+    Each warning meets this process's filters and the registry of the
+    module at its source line, as if it had been raised here.
+    """
+    try:
+        record = pickle.load(pipe)
+    except EOFError:
+        raise ChildProcessError(f"trial process {pid} ended without a record") from None
+    if isinstance(record, BaseException):
+        raise record
+    errors, caught = record
+    for message, category, filename, lineno in caught:
+        module = next((m for m in list(sys.modules.values())
+                       if getattr(m, "__file__", None) == filename), None)
+        warnings.warn_explicit(
+            message, category, filename, lineno, getattr(module, "__name__", None),
+            None if module is None else vars(module).setdefault("__warningregistry__", {}))
+    return errors
 
 
 def _elapsed_ms(start: float, measure_time: bool) -> int:

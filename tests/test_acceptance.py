@@ -54,7 +54,10 @@ from pencil_doa.pencil import (
     svd_denoise,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import test_golden as golden
+
+TESTS_DIR = Path(__file__).resolve().parent
+SRC = TESTS_DIR.parent / "src"
 
 
 def report(criterion, passed, detail):
@@ -431,3 +434,41 @@ def test_criterion_9_batch_sizes(name, monkeypatch):
     for size in (1, 7, trials):
         monkeypatch.setattr(harness, "stack_size", lambda *_, size=size: size)
         assert csv_text(run_experiment(cfg)) == want, f"stack of {size}"
+
+
+@pytest.mark.parametrize("processes", (1, 2, 3))
+def test_criterion_9_process_counts(processes, monkeypatch):
+    # Each process returns its share's per-trial errors and the caller sums
+    # them all in trial order, so every golden case keeps its CSV bytes and
+    # its bits whether one, two or three processes run the trials.
+    monkeypatch.setattr(harness, "_process_count", lambda: processes)
+    cases = golden.golden_cases()
+    golden.golden_records.cache_clear()
+    try:
+        moved = [golden.case_id(case) for case in cases
+                 if golden.golden_csv(*case).encode("utf-8")
+                 != golden.golden_path(*case).read_bytes()
+                 or golden.golden_bits(*case)
+                 != golden.golden_bits_lines(golden.case_id(case))]
+    finally:
+        golden.golden_records.cache_clear()
+    report(9, moved == [], f"{len(cases) - len(moved)} of {len(cases)} golden cases "
+                           f"keep their CSV and bits at {processes} processes; "
+                           f"moved: {moved}")
+
+
+def test_criterion_9_blas_threads():
+    # run_experiment pins OpenBLAS to one thread, so the thread count a
+    # process starts with moves no bit of the golden corpus
+    script = ("import test_golden as g; print(*(line for case in g.golden_cases() "
+              "for line in g.golden_bits(*case)), sep='\\n')")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS_DIR)]),
+                   OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    report(9, outputs[0] == outputs[1],
+           f"{len(outputs[0].splitlines())} golden bit lines at 1 and 2 OpenBLAS threads")

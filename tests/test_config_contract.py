@@ -67,8 +67,10 @@ def mappings(draw) -> dict:
     sources = draw(mostly(st.just(1) if sweep == "theta" else st.integers(1, 3),
                           st.integers(0, 3)))
     count = mostly(st.just(sources), st.integers(0, 4))
-    # exactly one of powers and snr_db outside an SNR sweep
-    power_given, snr_given = draw(mostly(st.sampled_from([(False, True), (True, False)]),
+    # exactly one of powers and snr_db outside an SNR sweep, neither at one
+    given = st.just((False, False)) if sweep == "snr" else \
+        st.sampled_from([(False, True), (True, False)])
+    power_given, snr_given = draw(mostly(given,
                                          st.sampled_from([(True, True), (False, False)])))
     return {
         "scenario": draw(st.sampled_from(SCENARIOS)),

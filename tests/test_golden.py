@@ -9,9 +9,10 @@ the theta sweep and the sentinel and failure paths that the benchmark
 references do not reach. The CSV prints nine significant digits, so
 ``tests/golden/bits.txt`` pins the bits: one line per record with its case
 id and ``float.hex`` of its sweep value, ``rmse_deg`` and ``root_crlb_deg``
-("-" where empty). Those bits hold for one host: they move with the BLAS
-thread count and with the SIMD extensions numpy dispatches to. The CSV bytes
-must not, so they are also checked with every dispatched extension disabled.
+("-" where empty). Those bits hold for one host: ``run_experiment`` pins
+OpenBLAS to one thread, so the process's BLAS thread count does not move
+them, but the SIMD extensions numpy dispatches to do. The CSV bytes must
+not, so they are also checked with every dispatched extension disabled.
 
 A change meant to keep the outputs must pass this test unchanged. Rewrite the
 files only for a change meant to alter them, and say why in CHANGES.md; this
@@ -143,8 +144,9 @@ def test_csv_matches_golden(name, scenario, variant):
 def test_bits_match_golden(name, scenario, variant):
     expected = golden_bits_lines(case_id((name, scenario, variant)))
     assert golden_bits(name, scenario, variant) == expected, (
-        f"bits differ from bits.txt with numpy {np.__version__}, SIMD dispatch "
-        f"{dispatched_simd()} and {blas_threads()} BLAS threads")
+        f"bits differ from bits.txt with numpy {np.__version__} and SIMD dispatch "
+        f"{dispatched_simd()}; run_experiment pins OpenBLAS to one thread (this "
+        f"process starts with {blas_threads()})")
 
 
 def test_csv_matches_golden_without_simd_dispatch():

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +330,25 @@ class TestWarningCounts:
         assert run() == stacked
         assert stacked[1][LowSnrWarning] > 0 and stacked[1][OutOfRangeWarning] > 0
 
+    def test_forked_shares_warn_like_one_process(self, monkeypatch):
+        # a forked process's warnings are emitted by the caller, each once
+        cfg = ExperimentConfig(scenario="spc_mpm", m=16, l=8, spacing_ratio=0.1,
+                               snapshots=32, angles_deg=(20.0, -35.0),
+                               snr_db=None, sweep="snr", grid=(-10.0, -5.0),
+                               trials=40, seed=7)
+
+        def run(processes):
+            monkeypatch.setattr(harness, "_process_count", lambda: processes)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                records = run_experiment(cfg)
+            return records, Counter((w.category, str(w.message), w.filename, w.lineno)
+                                    for w in caught)
+
+        one = run(1)
+        assert run(2) == one
+        assert {category for category, *_ in one[1]} == {LowSnrWarning, OutOfRangeWarning}
+
 
 class TestStackMemory:
     def test_example2_stage2_stacks_stay_within_stack_bytes(self, monkeypatch):
@@ -343,6 +362,8 @@ class TestStackMemory:
             return resolve(base, blocks, *args)
 
         monkeypatch.setattr(harness, "spc_resolve", recording)
+        # one process, so the recorder sees every stack
+        monkeypatch.setattr(harness, "_process_count", lambda: 1)
         cfg = preset("example2")
         assert cfg.trials == 200
         records = run_experiment(cfg)
@@ -351,6 +372,91 @@ class TestStackMemory:
         assert max(shape[0] for shape in shapes) > 1
         for shape in shapes:
             assert math.prod(shape) * 16 <= STACK_BYTES, shape
+
+
+class ChildShareError(RuntimeError):
+    """Raised only in a forked process; no estimator failure."""
+
+
+def _reaped(pid: int) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestForkedShares:
+    CFG = ExperimentConfig(scenario="fd_mpm", m=8, angles_deg=(10.0,),
+                           snapshots=16, grid=(5.0, 20.0), trials=6, seed=3)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids that run_experiment forks, at three processes."""
+        pids = []
+        fork = os.fork
+
+        def recording():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(harness, "_process_count", lambda: 3)
+        monkeypatch.setattr(os, "fork", recording)
+        return pids
+
+    def test_children_are_reaped_and_blas_restored(self, forks):
+        blas = harness._blas_threads()
+        threads = blas and blas[0]()
+        records = run_experiment(self.CFG)
+        assert len(forks) == 2 and all(map(_reaped, forks))
+        assert threads == (blas and blas[0]())
+        assert [rec.failures for rec in records] == [0, 0]
+
+    def test_child_exception_reaches_caller(self, forks, monkeypatch):
+        parent, squared = os.getpid(), harness.paired_squared_errors
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise ChildShareError("in a forked share")
+            return squared(*args)
+
+        monkeypatch.setattr(harness, "paired_squared_errors", failing)
+        with pytest.raises(ChildShareError, match="in a forked share"):
+            run_experiment(self.CFG)
+        assert len(forks) == 2 and all(map(_reaped, forks))
+
+    def test_one_process_per_trial_at_most(self, forks):
+        run_experiment(replace(self.CFG, trials=2))
+        run_experiment(replace(self.CFG, trials=6, scenario="crlb_fd"))
+        assert len(forks) == 1 and _reaped(forks[0])
+
+    def test_redirected_stdout_holds_one_run(self, tmp_path):
+        # a forked process leaves through os._exit, so it never flushes the
+        # line the caller buffered before the run
+        script = ("import sys; from pencil_doa import cli, harness; "
+                  "harness._process_count = lambda: int(sys.argv[1]); "
+                  "print('# before the run'); sys.exit(cli.main(sys.argv[2:]))")
+        flags = ["run", "--scenario", "pmpm_fc", "--m", "16", "--l", "4",
+                 "--snapshots", "16", "--sweep", "snr", "--grid", "0,10,20",
+                 "--trials", "4", "--seed", "9"]
+        # stdout to a file is block-buffered unless PYTHONUNBUFFERED is set
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        outputs = []
+        for processes in ("1", "3"):
+            path = tmp_path / f"p{processes}.csv"
+            with path.open("wb") as out:
+                done = subprocess.run([sys.executable, "-c", script, processes, *flags],
+                                      env=env, stdout=out, stderr=subprocess.PIPE,
+                                      timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"# before the run") == 1
+        assert outputs[0].count(b"sweep,scenario") == 1
 
 
 class TestCsv:
