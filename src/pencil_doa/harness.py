@@ -2,21 +2,22 @@
 
 A run sweeps one axis (snr, theta, snapshots, or separation), executes D
 seeded trials per sweep point, and reports pooled RMSE next to the matching
-root bound. ``_point_sources`` derives a point's sources for ``validate``,
-before any point runs, and for the point, which builds them once at fixed
-angles. Per-trial RNG streams derive from (seed, sweep index, trial index);
-``_SweepPoint._streams`` seeds them in trial order, a chunk of trials at a
-time. Each stack of ``stack_size`` trials is then drawn, solved and, under
-SPC, resolved in one pass: ``estimators.pencil_input`` reduces each trial's
-(N, M, K) receive block, as in the public estimators, one batched pencil
-call solves the stack, and one ``spc_resolve`` call takes the stage-2
-blocks of its solved trials, which ``stack_size`` counts with the stack.
+root bound. ``validate`` builds each ``_SweepPoint`` once, which checks its
+sources and steers fixed angles once. Per-trial RNG streams derive from
+(seed, sweep index, trial index); ``_SweepPoint._streams`` seeds them in
+trial order, a chunk of trials at a time. Each stack of ``stack_size``
+trials is then drawn, solved and, under SPC, resolved in one pass:
+``estimators.pencil_input`` reduces each trial's (N, M, K) receive block,
+as in the public estimators, one batched pencil call solves the stack, and
+one ``spc_resolve`` call takes the stage-2 blocks of its solved trials,
+which ``stack_size`` counts with the stack.
 
 ``run_experiment`` pins OpenBLAS to one thread for its length and splits
 each point's trials into P contiguous shares, one per CPU it may run on.
-It runs the first share itself and forks one process per other share; each
-process sends back its trials' squared errors, in trial order, and the
-caller sums all of them in trial order, so the CSV is the same at any P.
+It runs the first share itself and forks one process per other share after
+validating, so every process runs the same points; each process sends back
+its solved trials' squared-error sums, in trial order, and the caller sums
+all of them in trial order, so the CSV is the same at any P.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ class ExperimentConfig:
     random_theta: bool = False
     edge_offset_deg: float = 1.8
 
-    def validate(self):
+    def validate(self) -> list:
+        """One ``_SweepPoint`` per grid value, or ConfigError naming the field at fault."""
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario: {self.scenario!r} not in {SCENARIOS}")
         if self.sweep not in SWEEP_AXES:
@@ -160,8 +162,8 @@ class ExperimentConfig:
                 f"edge_offset_deg: {_source_count(self)} sources 1 deg apart do not "
                 f"fit between -90 and 90 deg less an edge offset of "
                 f"{self.edge_offset_deg} deg")
-        for value in self.grid:
-            _point_sources(self, value)
+        receiver = _receiver(self)
+        return [_SweepPoint(self, receiver, value) for value in self.grid]
 
 
 @dataclass(frozen=True)
@@ -215,54 +217,6 @@ def _pencil_channels(cfg: ExperimentConfig) -> int:
     return cfg.l if cfg.scenario in TWO_STAGE else cfg.m
 
 
-def _point_sources(cfg: ExperimentConfig, value) -> tuple:
-    """(fixed angles, or None where drawn per trial; powers; noiseless) at ``value``.
-
-    ConfigError naming its field unless the point can run: one power per
-    source, each positive and finite, and fixed angles distinct and strictly
-    inside (-90, 90) deg with an inter-element phase below pi, which rounding
-    can break just short of 90 deg.
-    """
-    r = _source_count(cfg)
-    snrs = (float(value),) if cfg.sweep == "snr" else cfg.snr_db
-    if snrs is None:
-        field, powers, noiseless = "powers", tuple(cfg.powers), False
-    else:
-        field = "grid" if cfg.sweep == "snr" else "snr_db"
-        snrs = tuple(snrs) * r if len(snrs) == 1 else tuple(snrs)
-        noiseless = math.inf in snrs
-        try:
-            powers = tuple(1.0 if noiseless else 10.0 ** (s / 10.0) for s in snrs)
-        except OverflowError:
-            powers = (math.inf,) * len(snrs)
-    if len(powers) != r:
-        raise ConfigError(f"{field}: {len(powers)} values for {r} sources")
-    if not all(0.0 < p < math.inf for p in powers):
-        raise ConfigError(f"{field}: source powers {powers} must be positive and finite")
-    if cfg.random_theta:
-        return None, powers, noiseless
-    # a sweep's grid sets the last source of its points
-    swept, angles = cfg.sweep in ("theta", "separation"), cfg.angles_deg
-    if cfg.sweep == "theta":
-        angles = (float(value),)
-    elif cfg.sweep == "separation":
-        angles = (angles[0], angles[0] - float(value))
-    # equal angles share one steering vector: no estimator or bound tells them apart
-    if len(set(map(float, angles))) < len(angles):
-        raise ConfigError(f"{'grid' if swept else 'angles_deg'}: source angles "
-                          f"{angles} must be distinct")
-    steerable = (np.abs(angles) < 90.0) & (
-        np.abs(phase_from_angle(np.array(angles, dtype=float), cfg.spacing_ratio)) < np.pi)
-    if not np.all(steerable):
-        index = int(np.argmin(steerable))
-        raise ConfigError(
-            f"{'grid' if swept and index == len(angles) - 1 else 'angles_deg'}: "
-            f"source angle {float(angles[index])!r} deg must lie strictly inside "
-            f"(-90, 90) with an inter-element phase below pi at spacing_ratio "
-            f"{cfg.spacing_ratio}")
-    return angles, powers, noiseless
-
-
 def _receiver(cfg: ExperimentConfig) -> tuple:
     """(array, analog codebook or None for the full array, pencil parameters)."""
     array = ArrayConfig(cfg.m, cfg.spacing_ratio)
@@ -278,11 +232,55 @@ class _SweepPoint:
     """One sweep value: its sources and snapshot budget, and the trials run there."""
 
     def __init__(self, cfg: ExperimentConfig, receiver: tuple, value):
+        """The point at ``value``, or ConfigError naming the field at fault.
+
+        A point needs one power per source, each positive and finite, and fixed
+        angles distinct and strictly inside (-90, 90) deg with an inter-element
+        phase below pi, which rounding can break just short of 90 deg. Fixed
+        angles are steered once, into ``fixed``, for every trial and the bound.
+        """
         self.cfg = cfg
         self.array, self.codebook, self.pencil = receiver
-        self.angles, self.powers, self.noiseless = _point_sources(cfg, value)
-        # (sources, steering) of every trial at fixed angles
-        self.fixed = None if self.angles is None else self._steered(self.angles)
+        r = self.pencil.num_sources
+        snrs = (float(value),) if cfg.sweep == "snr" else cfg.snr_db
+        if snrs is None:
+            field, powers, self.noiseless = "powers", tuple(cfg.powers), False
+        else:
+            field = "grid" if cfg.sweep == "snr" else "snr_db"
+            snrs = tuple(snrs) * r if len(snrs) == 1 else tuple(snrs)
+            self.noiseless = math.inf in snrs
+            try:
+                powers = tuple(1.0 if self.noiseless else 10.0 ** (s / 10.0)
+                               for s in snrs)
+            except OverflowError:
+                powers = (math.inf,) * len(snrs)
+        if len(powers) != r:
+            raise ConfigError(f"{field}: {len(powers)} values for {r} sources")
+        if not all(0.0 < p < math.inf for p in powers):
+            raise ConfigError(f"{field}: source powers {powers} must be positive and finite")
+        self.powers, self.angles, self.fixed = powers, None, None
+        if not cfg.random_theta:
+            # a sweep's grid sets the last source of its points
+            swept, angles = cfg.sweep in ("theta", "separation"), cfg.angles_deg
+            if cfg.sweep == "theta":
+                angles = (float(value),)
+            elif cfg.sweep == "separation":
+                angles = (angles[0], angles[0] - float(value))
+            # equal angles share one steering vector: no estimator or bound
+            # tells them apart
+            if len(set(map(float, angles))) < len(angles):
+                raise ConfigError(f"{'grid' if swept else 'angles_deg'}: source angles "
+                                  f"{angles} must be distinct")
+            steerable = (np.abs(angles) < 90.0) & (np.abs(
+                phase_from_angle(np.array(angles, dtype=float), cfg.spacing_ratio)) < np.pi)
+            if not np.all(steerable):
+                index = int(np.argmin(steerable))
+                raise ConfigError(
+                    f"{'grid' if swept and index == len(angles) - 1 else 'angles_deg'}: "
+                    f"source angle {float(angles[index])!r} deg must lie strictly inside "
+                    f"(-90, 90) with an inter-element phase below pi at spacing_ratio "
+                    f"{cfg.spacing_ratio}")
+            self.angles, self.fixed = angles, self._steered(angles)
 
         budget = int(value) if cfg.sweep == "snapshots" else cfg.snapshots
         self.drawable = cfg.m * budget <= MAX_DRAW_ENTRIES
@@ -305,36 +303,33 @@ class _SweepPoint:
         if self.two_stage:
             self.labels += [("signal2",)] + [("noise2",)] * (not self.noiseless)
 
-    def errors(self, sweep_index: int, trials: range) -> tuple[list, int, int]:
-        """(summed squared error of each solved trial, error count, failures).
+    def errors(self, sweep_index: int, trials: range) -> list:
+        """The summed squared error of each trial of ``trials`` that solves.
 
-        The sums follow trial order over ``trials``. Trials are seeded, drawn
-        and solved in index order, ``stack_size`` at a time: each stack of
-        pencil inputs is solved in one batch, and under SPC its solved
-        trials are resolved in one more.
+        The sums follow trial order; a trial that fails adds none. Trials are
+        seeded, drawn and solved in index order, ``stack_size`` at a time:
+        each stack of pencil inputs is solved in one batch, and under SPC its
+        solved trials are resolved in one more.
         """
         # every trial fails when a stage has fewer snapshots than combiners
         scan_short = self.two_stage and self.k2 < \
             disambiguation_combiners(self.codebook, self.pencil.num_sources)
         if self.k < 1 or scan_short or not self.drawable:
-            return [], 0, len(trials)
+            return []
         # a stack holds its stage-2 blocks too, M by K2 per trial
         step = stack_size(self.rows, _pencil_channels(self.cfg), self.pencil.xi,
                           self.cfg.m * self.k2 * 16)
         streams = self._streams(sweep_index, trials)
-        sums, count, failures = [], 0, 0
+        sums = []
         while drawn := [self._draw(stream) for stream in islice(streams, step)]:
             solved = [(trial, estimates) for trial, estimates
                       in zip(drawn, self._solve(np.stack([x for *_, x in drawn])))
                       if estimates is not None]
-            failures += len(drawn) - len(solved)
             if self.two_stage and solved:
                 solved = self._resolve(solved)
-            for (_, _, sources, _), estimates in solved:
-                sq = paired_squared_errors(estimates, sources.angles_deg)
-                sums.append(float(np.sum(sq)))
-                count += sq.size
-        return sums, count, failures
+            sums += [float(np.sum(paired_squared_errors(estimates, sources.angles_deg)))
+                     for (_, _, sources, _), estimates in solved]
+        return sums
 
     def _streams(self, sweep_index: int, trials: range | None = None):
         """Each trial's streams in trial order, as a function of the label.
@@ -465,12 +460,12 @@ def run_experiment(cfg: ExperimentConfig, measure_time: bool = False) -> list:
     OpenBLAS runs one thread until the call returns, where numpy bundles
     one. Each point's trials are split into ``_process_count()`` contiguous
     shares, at most one per trial, and one for a bound scenario: this
-    process runs the first share and a forked process each other. Their
+    process builds every point in ``validate`` and then forks; it runs the
+    first share and a forked process each other. Their
     warnings are emitted here, in trial order, and an exception one of them
     raises is raised here.
     """
-    cfg.validate()
-    receiver = _receiver(cfg)
+    points = cfg.validate()
     processes = 1 if cfg.scenario in CRLB_SCENARIOS else min(_process_count(), cfg.trials)
     shares = [range(cfg.trials * p // processes, cfg.trials * (p + 1) // processes)
               for p in range(processes)]
@@ -481,19 +476,17 @@ def run_experiment(cfg: ExperimentConfig, measure_time: bool = False) -> list:
     children, failed = [], True
     try:
         for share in shares[1:]:
-            children.append(_fork_share(cfg, receiver, share, children))
+            children.append(_fork_share(points, share, children))
         records = []
-        for sweep_index, value in enumerate(cfg.grid):
+        for sweep_index, (value, point) in enumerate(zip(cfg.grid, points)):
             start = time.perf_counter()
-            point = _SweepPoint(cfg, receiver, value)
-            if cfg.scenario in CRLB_SCENARIOS:
-                rmse_value, trials, failures = None, 0, 0
-            else:
-                sums, count, failures = point.errors(sweep_index, shares[0])
+            rmse_value, trials, failures = None, 0, 0
+            if cfg.scenario not in CRLB_SCENARIOS:
+                sums = point.errors(sweep_index, shares[0])
                 for child in children:
-                    more, extra, lost = _child_errors(*child)
-                    sums, count, failures = sums + more, count + extra, failures + lost
-                rmse_value, trials = _pooled_rmse(sums, count, failures, cfg.trials), cfg.trials
+                    sums += _child_errors(*child)
+                trials, failures = cfg.trials, cfg.trials - len(sums)
+                rmse_value = _pooled_rmse(sums, point.pencil.num_sources, cfg.trials)
             records.append(ResultRecord(
                 sweep_value=float(value), scenario=cfg.scenario,
                 rmse_deg=rmse_value, root_crlb_deg=point.root_crlb(),
@@ -511,23 +504,22 @@ def run_experiment(cfg: ExperimentConfig, measure_time: bool = False) -> list:
             blas[1](threads)
 
 
-def _pooled_rmse(sums: list, count: int, failures: int, trials: int) -> float:
-    """The pooled RMSE of per-trial squared-error sums; -1 past the failure limit."""
-    if failures > FAILURE_SHARE_LIMIT * trials or count == 0:
+def _pooled_rmse(sums: list, sources: int, trials: int) -> float:
+    """The pooled RMSE of ``sources`` errors per solved trial; -1 past the failure limit."""
+    if trials - len(sums) > FAILURE_SHARE_LIMIT * trials or not sums:
         return SENTINEL_RMSE
     # trial order keeps the sum exact at any process count; a loop, since
     # sum() compensates float sums from Python 3.12 on
     total_sq = 0.0
     for value in sums:
         total_sq += value
-    return math.sqrt(total_sq / count)
+    return math.sqrt(total_sq / (sources * len(sums)))
 
 
-def _fork_share(cfg: ExperimentConfig, receiver: tuple, trials: range,
-                siblings: list) -> tuple:
+def _fork_share(points: list, trials: range, siblings: list) -> tuple:
     """(pid, read end of its pipe) of a forked process that runs ``trials``.
 
-    The process takes the sweep points in order and writes one pickled
+    The process takes the caller's points in order and writes one pickled
     record per point: its ``_SweepPoint.errors`` and the warnings they
     raised, or the exception it hit, after which it stops. It leaves through
     ``os._exit``, so it flushes no stdio buffer and runs no exit handler
@@ -548,13 +540,13 @@ def _fork_share(cfg: ExperimentConfig, receiver: tuple, trials: range,
         for _, pipe in siblings:
             pipe.close()
         with open(write, "wb") as pipe:
-            for sweep_index, value in enumerate(cfg.grid):
+            for sweep_index, point in enumerate(points):
                 try:
                     with warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
-                        errors = _SweepPoint(cfg, receiver, value).errors(sweep_index, trials)
-                    record = errors, [(w.message, w.category, w.filename, w.lineno)
-                                      for w in caught]
+                        sums = point.errors(sweep_index, trials)
+                    record = sums, [(w.message, w.category, w.filename, w.lineno)
+                                    for w in caught]
                 except BaseException as exc:
                     record = exc
                 pickle.dump(record, pipe)
@@ -565,7 +557,7 @@ def _fork_share(cfg: ExperimentConfig, receiver: tuple, trials: range,
         os._exit(0)
 
 
-def _child_errors(pid: int, pipe) -> tuple:
+def _child_errors(pid: int, pipe) -> list:
     """The next point's ``errors`` from a forked process, its warnings emitted here.
 
     Each warning meets this process's filters and the registry of the
@@ -577,14 +569,14 @@ def _child_errors(pid: int, pipe) -> tuple:
         raise ChildProcessError(f"trial process {pid} ended without a record") from None
     if isinstance(record, BaseException):
         raise record
-    errors, caught = record
+    sums, caught = record
     for message, category, filename, lineno in caught:
         module = next((m for m in list(sys.modules.values())
                        if getattr(m, "__file__", None) == filename), None)
         warnings.warn_explicit(
             message, category, filename, lineno, getattr(module, "__name__", None),
             None if module is None else vars(module).setdefault("__warningregistry__", {}))
-    return errors
+    return sums
 
 
 def _elapsed_ms(start: float, measure_time: bool) -> int:

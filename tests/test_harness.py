@@ -330,8 +330,10 @@ class TestWarningCounts:
         assert run() == stacked
         assert stacked[1][LowSnrWarning] > 0 and stacked[1][OutOfRangeWarning] > 0
 
-    def test_forked_shares_warn_like_one_process(self, monkeypatch):
-        # a forked process's warnings are emitted by the caller, each once
+    @pytest.mark.parametrize("action", ["always", "default", "module"])
+    def test_forked_shares_warn_like_one_process(self, action, monkeypatch):
+        # a forked process's warnings are emitted by the caller, each once,
+        # and the filters that deduplicate see the registry of their module
         cfg = ExperimentConfig(scenario="spc_mpm", m=16, l=8, spacing_ratio=0.1,
                                snapshots=32, angles_deg=(20.0, -35.0),
                                snr_db=None, sweep="snr", grid=(-10.0, -5.0),
@@ -340,7 +342,7 @@ class TestWarningCounts:
         def run(processes):
             monkeypatch.setattr(harness, "_process_count", lambda: processes)
             with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+                warnings.simplefilter(action)
                 records = run_experiment(cfg)
             return records, Counter((w.category, str(w.message), w.filename, w.lineno)
                                     for w in caught)
@@ -426,6 +428,22 @@ class TestForkedShares:
         with pytest.raises(ChildShareError, match="in a forked share"):
             run_experiment(self.CFG)
         assert len(forks) == 2 and all(map(_reaped, forks))
+
+    def test_only_the_caller_builds_points(self, forks, monkeypatch):
+        # validate builds each point once, before the fork; a share runs it
+        parent, init, built = os.getpid(), _SweepPoint.__init__, []
+
+        def caller_only(point, cfg, receiver, value):
+            if os.getpid() != parent:
+                raise ChildShareError("a forked share built a point")
+            built.append(value)
+            init(point, cfg, receiver, value)
+
+        monkeypatch.setattr(_SweepPoint, "__init__", caller_only)
+        records = run_experiment(self.CFG)
+        assert len(forks) == 2 and all(map(_reaped, forks))
+        assert built == list(self.CFG.grid)
+        assert [rec.failures for rec in records] == [0, 0]
 
     def test_one_process_per_trial_at_most(self, forks):
         run_experiment(replace(self.CFG, trials=2))
@@ -753,11 +771,12 @@ class TestCli:
     def test_unsteerable_sources_exit_2_before_any_point(self, args, capsys,
                                                          monkeypatch):
         # before, the first two ended in an UnsupportedGeometry traceback, and
-        # the others ran points and then exited 2, discarding them
+        # the others ran points and then exited 2, discarding them; validate
+        # builds the points, so what must not happen is that one runs
         def no_point(*_):
-            raise AssertionError("a sweep point was built")
+            raise AssertionError("a sweep point ran")
 
-        monkeypatch.setattr(harness, "_SweepPoint", no_point)
+        monkeypatch.setattr(harness._SweepPoint, "errors", no_point)
         rc = cli_main(["run"] + args + ["--trials", "2"])
         captured = capsys.readouterr()
         assert rc == 2
