@@ -17,7 +17,8 @@ each point's trials into P contiguous shares, one per CPU it may run on.
 It runs the first share itself and forks one process per other share after
 validating, so every process runs the same points; each process sends back
 its solved trials' squared-error sums, in trial order, and the caller sums
-all of them in trial order, so the CSV is the same at any P.
+all of them in trial order, so the CSV is the same at any P. Before it
+forks, ``_keep_heap`` lets every process keep its freed trial buffers.
 """
 
 from __future__ import annotations
@@ -449,23 +450,52 @@ def _blas_threads():
     return None
 
 
-def run_experiment(cfg: ExperimentConfig, measure_time: bool = False) -> list:
+def _mallopt():
+    """The C library's ``mallopt``, or None where it cannot be loaded or has none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+def _keep_heap() -> None:
+    """Keep freed trial buffers in the heap: mmap past 4 ``STACK_BYTES``, trim past 8.
+
+    glibc's own rule mmaps blocks past the largest one freed so far, about one
+    full-aperture H, and trims the heap past twice that, below a trial's peak,
+    so each trial faulted its pages in again. Any ``mallopt`` call stops that
+    rule, so both are set; glibc has no getter, so they stay set. Without
+    ``mallopt`` (macOS; musl's is a stub) nothing changes.
+    """
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(-3, 4 * STACK_BYTES)  # M_MMAP_THRESHOLD in <malloc.h>
+        mallopt(-1, 8 * STACK_BYTES)  # M_TRIM_THRESHOLD
+
+
+def run_experiment(cfg: ExperimentConfig, measure_time: bool = False,
+                   points: list | None = None) -> list:
     """Execute the experiment and return one record per sweep point.
 
     Trials whose estimator raises are counted as failures and excluded from
     the RMSE; a failure share above 20% replaces the RMSE with -1. With
     ``measure_time`` False (the default) wall_ms is reported as 0 so that
-    repeated runs emit byte-identical CSV.
+    repeated runs emit byte-identical CSV. ``points`` are the ones
+    ``cfg.validate()`` returned, where the caller has them; None (the
+    default) builds them here.
 
     OpenBLAS runs one thread until the call returns, where numpy bundles
     one. Each point's trials are split into ``_process_count()`` contiguous
     shares, at most one per trial, and one for a bound scenario: this
-    process builds every point in ``validate`` and then forks; it runs the
-    first share and a forked process each other. Their
-    warnings are emitted here, in trial order, and an exception one of them
-    raises is raised here.
+    process builds every point and then forks; it runs the first share and
+    a forked process each other. Their warnings are emitted here, in trial
+    order, and an exception one of them raises is raised here. Before the
+    fork, ``_keep_heap`` sets glibc's heap thresholds, which stay set, so
+    no process faults its freed trial buffers in again.
     """
-    points = cfg.validate()
+    points = cfg.validate() if points is None else points
     processes = 1 if cfg.scenario in CRLB_SCENARIOS else min(_process_count(), cfg.trials)
     shares = [range(cfg.trials * p // processes, cfg.trials * (p + 1) // processes)
               for p in range(processes)]
@@ -473,6 +503,7 @@ def run_experiment(cfg: ExperimentConfig, measure_time: bool = False) -> list:
     threads = blas and blas[0]()
     if blas:
         blas[1](1)
+    _keep_heap()
     children, failed = [], True
     try:
         for share in shares[1:]:
@@ -702,13 +733,13 @@ def load_config_file(path) -> dict:
     return values
 
 
-def config_from_mapping(values: dict,
-                        base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """The validated config: ``values`` over ``base``, or over the defaults.
+def config_from_mapping(values: dict, base: ExperimentConfig | None = None) -> tuple:
+    """(validated config, its points): ``values`` over ``base``, or the defaults.
 
     Without a base, ``values`` must name the scenario. Powers given without
     an SNR replace the base's SNR. An SNR sweep takes its SNRs from the grid
-    alone, so ``values`` may not give it ``snr_db``.
+    alone, so ``values`` may not give it ``snr_db``. The points are
+    ``cfg.validate()``'s, for ``run_experiment``.
     """
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(values) - known
@@ -723,5 +754,4 @@ def config_from_mapping(values: dict,
     cfg = replace(base, **values)
     if values.get("snr_db") is not None and cfg.sweep == "snr":
         raise ConfigError("snr_db: an SNR sweep sets each point's SNR from its grid value")
-    cfg.validate()
-    return cfg
+    return cfg, cfg.validate()

@@ -46,7 +46,8 @@ PINV_RCOND = 1e-10
 # plus what each trial holds beside them (SPC's stage-2 block), counted by
 # ``stack_size``; larger trials run alone. A solve holds H and numpy's QR
 # copy of it, so up to about twice this at its peak. The harness also hashes
-# the seed states of its trials' streams this many bytes at a time.
+# the seed states of its trials' streams this many bytes at a time, and sizes
+# the heap's mmap and trim thresholds from it (``harness._keep_heap``).
 STACK_BYTES = 1 << 20
 
 

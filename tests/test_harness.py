@@ -2,6 +2,7 @@ import argparse
 import csv
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -445,6 +446,20 @@ class TestForkedShares:
         assert built == list(self.CFG.grid)
         assert [rec.failures for rec in records] == [0, 0]
 
+    def test_cli_builds_each_point_once(self, forks, monkeypatch, capsys):
+        # config_from_mapping hands the points it validated to the run
+        init, built = _SweepPoint.__init__, []
+
+        def counting(point, cfg, receiver, value):
+            built.append(value)
+            init(point, cfg, receiver, value)
+
+        monkeypatch.setattr(_SweepPoint, "__init__", counting)
+        assert cli_main(["run", "--scenario", "fd_mpm", "--m", "8", "--sweep", "theta",
+                         "--grid", "0,10,20", "--trials", "2"]) == 0
+        assert built == [0.0, 10.0, 20.0]
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
     def test_one_process_per_trial_at_most(self, forks):
         run_experiment(replace(self.CFG, trials=2))
         run_experiment(replace(self.CFG, trials=6, scenario="crlb_fd"))
@@ -475,6 +490,52 @@ class TestForkedShares:
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"# before the run") == 1
         assert outputs[0].count(b"sweep,scenario") == 1
+
+
+# Minor page faults of a second example3 run at two trials, in a fresh
+# interpreter: the first run sets the heap's working set, which the second
+# reuses rather than taking it back from the kernel.
+FAULT_SCRIPT = """
+import resource
+from dataclasses import replace
+from pencil_doa import harness
+harness._process_count = lambda: 1
+cfg = replace(harness.preset("example3"), trials=2)
+harness.run_experiment(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+harness.run_experiment(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestHeapThresholds:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or harness._mallopt() is None,
+                        reason="needs glibc's mallopt")
+    def test_second_run_takes_no_pages_from_the_kernel(self):
+        # a pytest process's heap history hides the effect, so a fresh one runs
+        done = subprocess.run([sys.executable, "-c", FAULT_SCRIPT],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        # about 2,700 where each trial hands its buffers back to the kernel
+        assert int(done.stdout) < 100
+
+    @pytest.mark.parametrize("libc", [OSError, object], ids=["load-fails", "no-mallopt"])
+    def test_run_without_mallopt_gives_the_same_records(self, libc, monkeypatch):
+        cfg = replace(preset("example3"), trials=3, grid=(0.3, 2.0))
+        want = run_experiment(cfg)
+        cdll = harness.ctypes.CDLL
+
+        def lookup(name, *args, **kwargs):
+            if name is not None:
+                return cdll(name, *args, **kwargs)
+            if libc is OSError:
+                raise OSError("no C library")
+            return libc()
+
+        monkeypatch.setattr(harness.ctypes, "CDLL", lookup)
+        assert harness._mallopt() is None
+        assert run_experiment(cfg) == want
 
 
 class TestCsv:
@@ -576,9 +637,9 @@ class TestConfigFile:
             "trials = 5\n"
             "seed = 3\n")
         values = load_config_file(cfg_path)
-        cfg = config_from_mapping(values)
+        cfg, points = config_from_mapping(values)
         assert cfg.m == 16 and cfg.trials == 5
-        rec = run_experiment(cfg)[0]
+        rec = run_experiment(cfg, points=points)[0]
         assert rec.rmse_deg < 1e-6
 
     def test_unknown_key(self, tmp_path):
