@@ -90,9 +90,9 @@ def main(argv=None) -> int:
             if values["scenario"] not in CRLB_SCENARIOS:
                 raise ConfigError(
                     f"scenario: crlb expects one of {CRLB_SCENARIOS}")
-        cfg, points = config_from_mapping(values, base)
+        cfg = config_from_mapping(values, base)
 
-        records = run_experiment(cfg, measure_time=args.timing, points=points)
+        records = run_experiment(cfg, measure_time=args.timing)
         _emit(records, args.out)
         return 0
     except ConfigError as exc:

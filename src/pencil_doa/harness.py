@@ -2,8 +2,8 @@
 
 A run sweeps one axis (snr, theta, snapshots, or separation), executes D
 seeded trials per sweep point, and reports pooled RMSE next to the matching
-root bound. ``validate`` builds each ``_SweepPoint`` once, which checks its
-sources and steers fixed angles once. Per-trial RNG streams derive from
+root bound. ``validate`` builds each ``_SweepPoint`` once per config, which
+checks its sources and steers fixed angles once. Per-trial RNG streams derive from
 (seed, sweep index, trial index); ``_SweepPoint._streams`` seeds them in
 trial order, a chunk of trials at a time. Each stack of ``stack_size``
 trials is then drawn, solved and, under SPC, resolved in one pass:
@@ -31,6 +31,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -82,7 +83,7 @@ SENTINEL_RMSE = -1.0
 MAX_DRAW_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: scenario, geometry, sources, snapshot budget, sweep."""
 
@@ -104,7 +105,12 @@ class ExperimentConfig:
     edge_offset_deg: float = 1.8
 
     def validate(self) -> list:
-        """One ``_SweepPoint`` per grid value, or ConfigError naming the field at fault."""
+        """One ``_SweepPoint`` per grid value, or ConfigError naming the field at fault:
+        built on the first call, the same list on later ones; a raise keeps nothing."""
+        return self._points
+
+    @cached_property
+    def _points(self) -> list:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario: {self.scenario!r} not in {SCENARIOS}")
         if self.sweep not in SWEEP_AXES:
@@ -475,27 +481,24 @@ def _keep_heap() -> None:
         mallopt(-1, 8 * STACK_BYTES)  # M_TRIM_THRESHOLD
 
 
-def run_experiment(cfg: ExperimentConfig, measure_time: bool = False,
-                   points: list | None = None) -> list:
+def run_experiment(cfg: ExperimentConfig, measure_time: bool = False) -> list:
     """Execute the experiment and return one record per sweep point.
 
     Trials whose estimator raises are counted as failures and excluded from
     the RMSE; a failure share above 20% replaces the RMSE with -1. With
     ``measure_time`` False (the default) wall_ms is reported as 0 so that
-    repeated runs emit byte-identical CSV. ``points`` are the ones
-    ``cfg.validate()`` returned, where the caller has them; None (the
-    default) builds them here.
+    repeated runs emit byte-identical CSV.
 
     OpenBLAS runs one thread until the call returns, where numpy bundles
     one. Each point's trials are split into ``_process_count()`` contiguous
     shares, at most one per trial, and one for a bound scenario: this
-    process builds every point and then forks; it runs the first share and
-    a forked process each other. Their warnings are emitted here, in trial
-    order, and an exception one of them raises is raised here. Before the
-    fork, ``_keep_heap`` sets glibc's heap thresholds, which stay set, so
-    no process faults its freed trial buffers in again.
+    process takes the points ``cfg.validate()`` keeps and then forks; it runs
+    the first share and a forked process each other. Their warnings are
+    emitted here, in trial order, and an exception one of them raises is
+    raised here. Before the fork, ``_keep_heap`` sets glibc's heap thresholds,
+    which stay set, so no process faults its freed trial buffers in again.
     """
-    points = cfg.validate() if points is None else points
+    points = cfg.validate()
     processes = 1 if cfg.scenario in CRLB_SCENARIOS else min(_process_count(), cfg.trials)
     shares = [range(cfg.trials * p // processes, cfg.trials * (p + 1) // processes)
               for p in range(processes)]
@@ -733,13 +736,12 @@ def load_config_file(path) -> dict:
     return values
 
 
-def config_from_mapping(values: dict, base: ExperimentConfig | None = None) -> tuple:
-    """(validated config, its points): ``values`` over ``base``, or the defaults.
+def config_from_mapping(values: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """The validated config, which keeps its points: ``values`` over ``base``, or the defaults.
 
     Without a base, ``values`` must name the scenario. Powers given without
     an SNR replace the base's SNR. An SNR sweep takes its SNRs from the grid
-    alone, so ``values`` may not give it ``snr_db``. The points are
-    ``cfg.validate()``'s, for ``run_experiment``.
+    alone, so ``values`` may not give it ``snr_db``.
     """
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(values) - known
@@ -754,4 +756,5 @@ def config_from_mapping(values: dict, base: ExperimentConfig | None = None) -> t
     cfg = replace(base, **values)
     if values.get("snr_db") is not None and cfg.sweep == "snr":
         raise ConfigError("snr_db: an SNR sweep sets each point's SNR from its grid value")
-    return cfg, cfg.validate()
+    cfg.validate()
+    return cfg

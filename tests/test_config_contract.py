@@ -101,12 +101,12 @@ def mappings(draw) -> dict:
 @given(mappings())
 def test_mapping_is_rejected_or_runs(values):
     try:
-        cfg, points = config_from_mapping(values)
+        cfg = config_from_mapping(values)
     except ConfigError:
         return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        records = run_experiment(cfg, points=points)
+        records = run_experiment(cfg)
     lines = csv_text(records).splitlines()
     assert len(records) == len(cfg.grid) and len(lines) == len(records) + 1
 

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +239,27 @@ class TestRunExperiment:
         assert rec.failures == 0
         assert rec.rmse_deg < 1e-6
 
+    def test_points_follow_their_config(self):
+        # a config keeps the points its first validate built, and no run can
+        # pair them with another config
+        cfg = ExperimentConfig(scenario="fd_mpm", m=8, sweep="theta", grid=(0.0, 10.0),
+                               trials=3)
+        assert cfg.validate() is cfg.validate()
+        with pytest.raises(FrozenInstanceError):
+            cfg.m = 16
+        run_experiment(cfg)
+        wider = replace(cfg, m=16)
+        fresh = ExperimentConfig(scenario="fd_mpm", m=16, sweep="theta", grid=(0.0, 10.0),
+                                 trials=3)
+        assert harness.csv_text(run_experiment(wider)) == \
+            harness.csv_text(run_experiment(fresh))
+        assert [point.array.num_antennas for point in wider.validate()] == [16, 16]
+        # a validation that raises keeps nothing, so the next one raises too
+        unrunnable = replace(cfg, trials=0)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="^trials: "):
+                unrunnable.validate()
+
     def test_failure_sentinel_for_infeasible_budget(self):
         # stage-1 budget of 3 snapshots cannot feed 4 combiners
         cfg = ExperimentConfig(scenario="spc_mpm", m=32, l=8, snapshots=4,
@@ -441,13 +462,14 @@ class TestForkedShares:
             init(point, cfg, receiver, value)
 
         monkeypatch.setattr(_SweepPoint, "__init__", caller_only)
-        records = run_experiment(self.CFG)
+        # a fresh copy: CFG keeps the points an earlier test's run built
+        records = run_experiment(replace(self.CFG))
         assert len(forks) == 2 and all(map(_reaped, forks))
         assert built == list(self.CFG.grid)
         assert [rec.failures for rec in records] == [0, 0]
 
     def test_cli_builds_each_point_once(self, forks, monkeypatch, capsys):
-        # config_from_mapping hands the points it validated to the run
+        # the config that config_from_mapping validated keeps its points for the run
         init, built = _SweepPoint.__init__, []
 
         def counting(point, cfg, receiver, value):
@@ -637,9 +659,9 @@ class TestConfigFile:
             "trials = 5\n"
             "seed = 3\n")
         values = load_config_file(cfg_path)
-        cfg, points = config_from_mapping(values)
+        cfg = config_from_mapping(values)
         assert cfg.m == 16 and cfg.trials == 5
-        rec = run_experiment(cfg, points=points)[0]
+        rec = run_experiment(cfg)[0]
         assert rec.rmse_deg < 1e-6
 
     def test_unknown_key(self, tmp_path):
