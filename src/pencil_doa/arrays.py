@@ -222,6 +222,12 @@ def phase_from_angle(theta_deg, spacing_ratio: float):
     return 2.0 * np.pi * spacing_ratio * np.sin(np.radians(theta_deg))
 
 
+def arcsin_deg(sines) -> np.ndarray:
+    """Degrees of each sine clamped to [-1, 1], NaN kept, by ``math.asin``: no SIMD dispatch."""
+    sines = np.clip(sines, -1.0, 1.0)
+    return np.reshape([math.degrees(math.asin(s)) for s in sines.ravel().tolist()], sines.shape)
+
+
 def steering_matrix(cfg: ArrayConfig, sources: SourceSet) -> np.ndarray:
     """The M-by-R steering matrix for the given sources.
 

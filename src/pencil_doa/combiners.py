@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import arcsin_deg
 from .errors import ConfigError, ShapeError, UnsupportedGeometry
 
 FC = "fc"
@@ -171,7 +172,7 @@ def sectors(cfg: HadConfig, spacing_ratio: float = 0.5) -> tuple:
     m_rf = cfg.m_rf
     n_total = cfg.n_combiners
     upper = (n_total + 1) // 2  # last unwrapped index; rounds up for odd sizes
-    asind = lambda x: math.degrees(math.asin(x))
+    asind = lambda x: float(arcsin_deg(x))
     intervals = []
     for n in range(1, n_total + 1):
         if n <= upper:

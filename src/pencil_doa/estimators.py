@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .arrays import ArrayConfig, SnapshotBlock, phase_from_angle
+from .arrays import ArrayConfig, SnapshotBlock, arcsin_deg, phase_from_angle
 from .combiners import apply_adjoint, apply_combiner, subarray_columns
 from .errors import (
     AmbiguousGeometryError,
@@ -170,7 +170,7 @@ def resolve_ambiguity(columns: np.ndarray, segments, candidates: np.ndarray,
     those to the first in its row, the lowest phase for ``ambiguity_set``
     rows. A source whose metrics are all at or below zero warns once, in
     (trial, source) order. Returns one angle per source, in source order,
-    (..., R); the arcsine argument is clamped to [-1, 1], since a candidate
+    (..., R); ``arcsin_deg`` clamps the arcsine argument to [-1, 1], since a candidate
     may exceed pi by rounding and, below half-wavelength spacing, lie
     outside the visible region.
     """
@@ -190,9 +190,7 @@ def resolve_ambiguity(columns: np.ndarray, segments, candidates: np.ndarray,
     ties = metrics == metrics.max(axis=-1, keepdims=True)
     pick = np.argmin(np.where(ties, np.abs(candidates), np.inf), axis=-1)
     mu_hat = np.take_along_axis(candidates, pick[..., None], axis=-1)[..., 0]
-    sines = np.ravel(mu_hat / (2.0 * np.pi * spacing_ratio)).tolist()
-    return np.reshape([math.degrees(math.asin(min(1.0, max(-1.0, sine))))
-                       for sine in sines], mu_hat.shape)
+    return arcsin_deg(mu_hat / (2.0 * np.pi * spacing_ratio))
 
 
 def spc_resolve(base_angles, disambiguation_block: SnapshotBlock,

@@ -507,7 +507,7 @@ def run_experiment(cfg: ExperimentConfig, measure_time: bool = False) -> list:
     if blas:
         blas[1](1)
     _keep_heap()
-    children, failed = [], True
+    children = []
     try:
         for share in shares[1:]:
             children.append(_fork_share(points, share, children))
@@ -526,13 +526,12 @@ def run_experiment(cfg: ExperimentConfig, measure_time: bool = False) -> list:
                 rmse_deg=rmse_value, root_crlb_deg=point.root_crlb(),
                 trials=trials, failures=failures,
                 wall_ms=_elapsed_ms(start, measure_time)))
-        failed = False
         return records
     finally:
+        # a child whose last record was read has nothing left to do
         for pid, pipe in children:
             pipe.close()
-            if failed:
-                os.kill(pid, 9)  # SIGKILL, 9 wherever os.fork exists
+            os.kill(pid, 9)  # SIGKILL, 9 wherever os.fork exists
             os.waitpid(pid, 0)
         if blas:
             blas[1](threads)
@@ -574,19 +573,16 @@ def _fork_share(points: list, trials: range, siblings: list) -> tuple:
         for _, pipe in siblings:
             pipe.close()
         with open(write, "wb") as pipe:
-            for sweep_index, point in enumerate(points):
-                try:
+            try:
+                for sweep_index, point in enumerate(points):
                     with warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
                         sums = point.errors(sweep_index, trials)
-                    record = sums, [(w.message, w.category, w.filename, w.lineno)
-                                    for w in caught]
-                except BaseException as exc:
-                    record = exc
-                pickle.dump(record, pipe)
-                pipe.flush()
-                if isinstance(record, BaseException):
-                    break
+                    pickle.dump((sums, [(w.message, w.category, w.filename, w.lineno)
+                                        for w in caught]), pipe)
+                    pipe.flush()
+            except BaseException as exc:
+                pickle.dump(exc, pipe)
     finally:
         os._exit(0)
 

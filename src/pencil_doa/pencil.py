@@ -25,11 +25,13 @@ as it would alone, so one call solves a batch of trials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 import warnings
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .arrays import arcsin_deg
 from .errors import (
     EmptyInput,
     NumericalError,
@@ -186,16 +188,16 @@ def eigen_to_angles(eigenvalues: np.ndarray, spacing_ratio: float,
                     dilation: int = 1) -> np.ndarray:
     """Map pencil eigenvalues to DoA estimates in degrees, sorted ascending per pencil.
 
-    Uses the principal phase of each eigenvalue; ``dilation`` is 1 for
-    full-aperture pencils and m_rf for the subarray-spaced virtual array.
-    Arcsine arguments are clamped to [-1, 1]; clamping beyond 0.05 raises
-    an OutOfRangeWarning but the estimate is kept.
+    Uses the principal phase of each eigenvalue, by ``math.atan2``; ``dilation``
+    is 1 for full-aperture pencils and m_rf for the subarray-spaced virtual
+    array. ``arcsin_deg`` clamps the arguments to [-1, 1]; clamping beyond
+    0.05 raises an OutOfRangeWarning but the estimate is kept.
     """
-    args = np.angle(eigenvalues) / (2.0 * np.pi * spacing_ratio * dilation)
+    phases = [math.atan2(z.imag, z.real) for z in np.ravel(eigenvalues).tolist()]
+    args = np.reshape(phases, np.shape(eigenvalues)) / (2.0 * np.pi * spacing_ratio * dilation)
     for excess in np.ravel(np.max(np.abs(args), axis=-1) - 1.0):
         if excess > 0.05:
             warnings.warn(
                 f"arcsine argument exceeded unity by {excess:.3g}; clamped",
                 OutOfRangeWarning, stacklevel=2)
-    angles = np.degrees(np.arcsin(np.clip(args, -1.0, 1.0)))
-    return np.sort(angles, axis=-1)
+    return np.sort(arcsin_deg(args), axis=-1)

@@ -337,6 +337,14 @@ class TestResolveAmbiguity:
         assert np.all(np.isfinite(angles))
         npt.assert_allclose(angles, [-90.0], atol=1e-3)
 
+    def test_nan_candidate_gives_nan_angle(self):
+        # The NaN candidate wins its tie on all-ones blocks and maps to NaN,
+        # as a NaN eigenvalue does in the pencil, not to a clamped -90 deg.
+        cands = np.array([[np.nan, 0.3, 1.0, 2.0]])
+        angles = resolve_ambiguity(build_disambiguation(cands, 4),
+                                   np.ones((1, 16, 8), complex), cands, 0.5)
+        assert angles.shape == (1,) and np.isnan(angles[0])
+
     def test_all_zero_block_ties_pick_smallest_phase(self):
         # A zero disambiguation block puts every metric at exactly -1: all
         # candidates tie, each source warns once and takes the candidate of

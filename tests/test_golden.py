@@ -9,14 +9,15 @@ the theta sweep and the sentinel and failure paths that the benchmark
 references do not reach. The CSV prints nine significant digits, so
 ``tests/golden/bits.txt`` pins the bits: one line per record with its case
 id and ``float.hex`` of its sweep value, ``rmse_deg`` and ``root_crlb_deg``
-("-" where empty). Those bits hold for one host: ``run_experiment`` pins
-OpenBLAS to one thread, so the process's BLAS thread count does not move
-them, but the SIMD extensions numpy dispatches to and the kernel set
-OpenBLAS picks for the CPU do. The first line of ``bits.txt``, a ``#``
+("-" where empty). Those bits hold for one OpenBLAS core: ``run_experiment``
+pins OpenBLAS to one thread, so the process's BLAS thread count does not
+move them, and every angle map runs through ``math``, one float at a time,
+so the SIMD extensions numpy dispatches to do not either; the kernel set
+OpenBLAS picks for the CPU does. The first line of ``bits.txt``, a ``#``
 comment, names the numpy version, the SIMD extensions and the OpenBLAS core
-of the host that wrote it. The CSV bytes must not move, so they are also
-checked with every dispatched extension disabled, and under two other
-OpenBLAS cores.
+of the host that wrote it. The CSV bytes and the bits are also checked with
+every dispatched extension disabled, and the CSV bytes, which must not move
+at all, under two other OpenBLAS cores.
 
 A change meant to keep the outputs must pass this test unchanged. Rewrite the
 files only for a change meant to alter them, and say why in CHANGES.md; this
@@ -181,28 +182,31 @@ def test_bits_match_golden(name, scenario, variant):
         f"process starts with {blas_threads()})")
 
 
-def csv_mismatches(**env) -> list:
-    """The cases whose CSV differs from the corpus in a fresh process with ``env`` set."""
+def golden_mismatches(**env) -> tuple:
+    """(cases whose CSV, cases whose bits) differ from the corpus in a process run with ``env``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(TESTS_DIR.parent / "src"),
                                                        str(TESTS_DIR)]), **env)
     script = ("import json, test_golden as g; print(json.dumps("
-              "{g.case_id(case): g.golden_csv(*case) for case in g.golden_cases()}))")
+              "{g.case_id(case): [g.golden_csv(*case), g.golden_bits(*case)] "
+              "for case in g.golden_cases()}))")
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    csvs = json.loads(done.stdout)
-    return [case_id(case) for case in golden_cases()
-            if csvs[case_id(case)].encode("utf-8") != golden_path(*case).read_bytes()]
+    fresh = json.loads(done.stdout)
+    cases = {case_id(case): case for case in golden_cases()}
+    return ([i for i, case in cases.items()
+             if fresh[i][0].encode("utf-8") != golden_path(*case).read_bytes()],
+            [i for i in cases if fresh[i][1] != golden_bits_lines(i)])
 
 
 def test_csv_matches_golden_without_simd_dispatch():
-    # the CSV's nine digits must not depend on the SIMD level numpy picks
-    assert csv_mismatches(NPY_DISABLE_CPU_FEATURES=" ".join(dispatched_simd())) == []
+    # neither the CSV nor the bits may depend on the SIMD level numpy picks
+    assert golden_mismatches(NPY_DISABLE_CPU_FEATURES=" ".join(dispatched_simd())) == ([], [])
 
 
 @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
 def test_csv_matches_golden_under_blas_core(core):
-    # nor on the kernel set OpenBLAS picks; bits.txt may differ under these
-    assert csv_mismatches(OPENBLAS_CORETYPE=core) == []
+    # nor the CSV on the kernel set OpenBLAS picks; bits.txt may differ under these
+    assert golden_mismatches(OPENBLAS_CORETYPE=core)[0] == []
 
 
 if __name__ == "__main__":

@@ -451,6 +451,23 @@ class TestForkedShares:
             run_experiment(self.CFG)
         assert len(forks) == 2 and all(map(_reaped, forks))
 
+    def test_child_that_ends_without_a_record_raises(self, forks, monkeypatch):
+        parent, errors = os.getpid(), _SweepPoint.errors
+        blas = harness._blas_threads()
+        threads = blas and blas[0]()
+
+        def dying(point, *args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return errors(point, *args)
+
+        monkeypatch.setattr(_SweepPoint, "errors", dying)
+        with pytest.raises(ChildProcessError) as info:
+            run_experiment(self.CFG)
+        assert str(info.value) == f"trial process {forks[0]} ended without a record"
+        assert len(forks) == 2 and all(map(_reaped, forks))
+        assert threads == (blas and blas[0]())
+
     def test_only_the_caller_builds_points(self, forks, monkeypatch):
         # validate builds each point once, before the fork; a share runs it
         parent, init, built = os.getpid(), _SweepPoint.__init__, []

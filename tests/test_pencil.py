@@ -250,6 +250,10 @@ class TestEigenToAngles:
             got = eigen_to_angles(eig, 0.25, 1)
         npt.assert_allclose(got, [90.0])
 
+    def test_nan_eigenvalue_gives_nan_angle(self):
+        assert np.isnan(eigen_to_angles(np.array([np.nan]), 0.5)).all()
+        assert np.isnan(eigen_to_angles(np.array([complex(1.0, np.nan)]), 0.5)).all()
+
     def test_sorted_output(self):
         eig = np.exp(1j * np.array([1.5, -2.0, 0.3]))
         got = eigen_to_angles(eig, 0.5)

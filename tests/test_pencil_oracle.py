@@ -4,8 +4,11 @@
 per snapshot, a full SVD, the rank-R reconstruction and a second SVD. The
 package must give the same angles, and raise where it raised. It also holds
 the single-block subspace chain that snapshot compression and stacking
-replaced: with K <= C snapshots the package must give its bits, and with
-K > C its angles within the same tolerance. A stack of pencils must give
+replaced: with K <= C snapshots the package must give the bits of its
+eigenvalues under the package's angle map, and with K > C its angles within
+the same tolerance. That map, ``math``'s arcsine one float at a time, must
+give the angles and warnings of the chain's numpy map, whose bits move with
+the SIMD level numpy dispatches to. A stack of pencils must give
 each pencil's bits alone. The subspace step that takes R from the QR of the
 transpose view of H must give the values of the one that took it from a
 full-size conjugate copy. Over the same geometries, the estimators must also
@@ -13,6 +16,8 @@ keep the invariances of the model: reordering the snapshots or rotating each
 by a common phase leaves the angles unchanged, and conjugating the data
 mirrors them.
 """
+
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -30,13 +35,19 @@ from pencil_doa import (
     augment,
     build_codebook,
     build_pc_codebook,
+    eigen_to_angles,
     estimate_fd_mpm,
     estimate_pmpm,
     estimate_spc_mpm,
     steering_matrix,
     svd_denoise,
 )
-from pencil_doa.errors import AmbiguousGeometryError, NumericalError, RankError
+from pencil_doa.errors import (
+    AmbiguousGeometryError,
+    NumericalError,
+    OutOfRangeWarning,
+    RankError,
+)
 from pencil_doa.estimators import pencil_angles
 from pencil_doa.harness import ExperimentConfig, _receiver, _SweepPoint
 from pencil_doa.pencil import compress
@@ -195,6 +206,22 @@ def raised(solve, *args):
     return None
 
 
+def subspace_chain_angles(snapshots, xi, num_sources, spacing_ratio):
+    """The single-block chain's eigenvalues of (K, C) ``snapshots``, mapped by the package."""
+    _, coords, _ = ref.subspace_svd_denoise(ref.subspace_augment(snapshots, xi), num_sources)
+    left, right = ref.subspace_split_pencil(coords, xi)
+    eigenvalues = ref.subspace_pencil_eigenvalues(left, right, num_sources)
+    return eigen_to_angles(eigenvalues, spacing_ratio)
+
+
+def angles_and_warnings(to_angles, *args):
+    """``to_angles(*args)`` and the number of OutOfRangeWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        angles = to_angles(*args)
+    return angles, sum(issubclass(w.category, OutOfRangeWarning) for w in caught)
+
+
 class TestCompressionMatchesSubspaceChain:
     """Same bits as the single-block chain for K <= C; 1e-10 deg for K > C."""
 
@@ -204,7 +231,7 @@ class TestCompressionMatchesSubspaceChain:
         c, r, xi, k, angles, snr_db, seed = block
         x = draw_block(c, r, k, angles, snr_db, np.random.default_rng(seed))[0]
         got = estimate_fd_mpm(x, PencilConfig(xi, r), ArrayConfig(c, 0.5))
-        want = ref.subspace_angles(x.T, xi, r, 0.5)
+        want = subspace_chain_angles(x.T, xi, r, 0.5)
         if k <= c:
             npt.assert_array_equal(got, want)
         else:
@@ -224,6 +251,25 @@ class TestCompressionMatchesSubspaceChain:
         assert want in (RankError, NumericalError)
         assert raised(estimate_fd_mpm, x, PencilConfig(6, 2),
                       ArrayConfig(12, 0.5)) is want
+
+
+class TestAngleMapMatchesNumpyMap:
+    """The scalar angle map against the chain's ``np.angle``/``np.arcsin`` map."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.5, 1.5), st.floats(-np.pi, np.pi)),
+                    min_size=1, max_size=4),
+           st.floats(0.0, 0.5, exclude_min=True), st.integers(1, 8))
+    def test_angles_and_warnings_match(self, polar, spacing_ratio, dilation):
+        # below spacing_ratio * dilation = 0.5 a phase can put the arcsine's
+        # argument past +-1, where both maps clamp
+        eigenvalues = np.array([modulus * np.exp(1j * phase) for modulus, phase in polar])
+        got, got_warned = angles_and_warnings(eigen_to_angles, eigenvalues,
+                                              spacing_ratio, dilation)
+        want, want_warned = angles_and_warnings(ref.subspace_eigen_to_angles, eigenvalues,
+                                                spacing_ratio, dilation)
+        assert np.max(np.abs(got - want)) < ANGLE_TOL_DEG
+        assert got_warned == want_warned
 
 
 class TestBatchedSolve:
